@@ -108,8 +108,6 @@ class CrowdWebAPI:
 
     def tile(self, z: int, x: int, y: int, window: int = 9) -> Dict:
         """One city-view tile: aggregated cells at zoom ``z`` (see tiles.py)."""
-        n = len(self.result.timeline)
-        window = max(0, min(window, n - 1))
         return self.tiles.tile(z, x, y, window)
 
     def tile_scheme(self) -> Dict:

@@ -14,8 +14,9 @@ Every key starts with the **dataset fingerprint** — a content hash of the
 served :class:`~repro.pipeline.PipelineResult`'s identity (dataset name,
 record/user counts, grid geometry, timeline length, pipeline config) — so
 two servers over different data can never alias, and a cache carried
-across a dataset swap self-invalidates.  The remaining key parts name the
-route (normalized path + sorted query).  Explicit invalidation
+across a dataset swap self-invalidates.  The remaining key parts are the
+method and the route's canonical path from :mod:`repro.web.routes`
+(defaults filled in, values normalized).  Explicit invalidation
 (``/api/refresh``) bumps a **generation** counter: entries are dropped,
 ETags change (the generation is hashed into them), and stores raced from
 stale renders are discarded.
@@ -27,13 +28,8 @@ The cache is shared by every handler thread of the
 (``_lock``); expensive work — rendering, hashing, gzip — happens *outside*
 it, so the lock is only ever held for dict operations.  The CW7xx race
 pack verifies this shape statically (``crowdweb-lint --threads`` infers
-``_lock`` as the guard of ``_entries`` / ``_generation``).
-
-Metrics (when :mod:`repro.obs` is enabled)
-------------------------------------------
-``repro_web_cache_hits_total`` / ``repro_web_cache_misses_total``,
-``repro_web_cache_evictions_total``, ``repro_web_cache_invalidations_total``
-and the gauge ``repro_web_cache_entries_size``.
+``_lock`` as the guard of ``_entries`` / ``_generation``).  Its metrics
+are listed in ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -44,18 +40,12 @@ import threading
 import time
 from collections import OrderedDict
 from email.utils import formatdate
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..obs import get_observer
 from ..pipeline import PipelineResult
 
-__all__ = [
-    "CacheEntry",
-    "CacheKey",
-    "MIN_GZIP_BYTES",
-    "ResponseCache",
-    "dataset_fingerprint",
-]
+__all__ = ["CacheEntry", "MIN_GZIP_BYTES", "ResponseCache", "dataset_fingerprint"]
 
 #: A cache key: the dataset fingerprint followed by route-identifying parts.
 CacheKey = Tuple[str, ...]
@@ -85,27 +75,15 @@ def dataset_fingerprint(result: PipelineResult) -> str:
     return digest[:16]
 
 
-class CacheEntry:
+class CacheEntry(NamedTuple):
     """One pre-rendered response: raw bytes, gzip twin, and its validators."""
 
-    __slots__ = ("body", "content_type", "etag", "last_modified", "gzip_body",
-                 "generation")
-
-    def __init__(
-        self,
-        body: bytes,
-        content_type: str,
-        etag: str,
-        last_modified: str,
-        gzip_body: Optional[bytes],
-        generation: int,
-    ) -> None:
-        self.body = body
-        self.content_type = content_type
-        self.etag = etag
-        self.last_modified = last_modified
-        self.gzip_body = gzip_body
-        self.generation = generation
+    body: bytes
+    content_type: str
+    etag: str
+    last_modified: str
+    gzip_body: Optional[bytes]
+    generation: int
 
     @property
     def n_bytes(self) -> int:
@@ -151,13 +129,6 @@ class ResponseCache:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def last_modified(self) -> str:
-        """The HTTP-date ``Last-Modified`` value of the current generation."""
-        with self._lock:
-            built_at = self._built_at
-        return formatdate(built_at, usegmt=True)
-
     def lookup(self, key: CacheKey) -> Optional[CacheEntry]:
         """The entry for ``key`` (refreshing its LRU slot), or ``None``."""
         with self._lock:
@@ -193,9 +164,7 @@ class ResponseCache:
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
                     evicted += 1
-                n_entries = len(self._entries)
-            else:
-                n_entries = len(self._entries)
+            n_entries = len(self._entries)
         observer = get_observer()
         if evicted:
             observer.inc("repro_web_cache_evictions_total", evicted)
@@ -218,14 +187,8 @@ class ResponseCache:
             candidate = gzip.compress(body, compresslevel=6, mtime=0)
             if len(candidate) < len(body):
                 gzip_body = candidate
-        return CacheEntry(
-            body=body,
-            content_type=content_type,
-            etag=etag,
-            last_modified=formatdate(built_at, usegmt=True),
-            gzip_body=gzip_body,
-            generation=generation,
-        )
+        last_modified = formatdate(built_at, usegmt=True)
+        return CacheEntry(body, content_type, etag, last_modified, gzip_body, generation)
 
     # ---------------------------------------------------------- invalidation
 
@@ -255,11 +218,12 @@ class ResponseCache:
             n_entries = len(self._entries)
             n_bytes = sum(e.n_bytes for e in self._entries.values())
             generation = self._generation
+            built_at = self._built_at
         return {
             "fingerprint": self.fingerprint,
             "entries": n_entries,
             "payload_bytes": n_bytes,
             "max_entries": self.max_entries,
             "generation": generation,
-            "last_modified": self.last_modified,
+            "last_modified": formatdate(built_at, usegmt=True),
         }

@@ -17,7 +17,7 @@ from ..pipeline import PipelineResult
 from ..sequences import make_labeler
 from ..viz import render_place_graph
 from ..viz.palette import SURFACE, TEXT_PRIMARY, TEXT_SECONDARY
-from .tiles import TileIndex
+from .tiles import DEFAULT_MAX_ZOOM
 
 __all__ = ["Pages"]
 
@@ -110,7 +110,8 @@ class Pages:
 
     # ---------------------------------------------------------------- city
 
-    def city(self, window_index: int = 9, zoom: int = 2) -> str:
+    def city(self, window_index: int = 9, zoom: int = 2,
+             max_zoom: int = DEFAULT_MAX_ZOOM) -> str:
         """The tiled city view: the page ships no cell data of its own.
 
         The client fetches ``/api/tiles/<z>/<x>/<y>?window=<i>`` for the
@@ -118,12 +119,10 @@ class Pages:
         cells — each tile response is independently cacheable (ETag/gzip),
         so scrubbing the time slider re-downloads nothing that was already
         seen.  The old monolithic-SVG path lives on in ``repro.viz`` for
-        reports; this page is the serving-layer replacement.
+        reports; this page is the serving-layer replacement.  ``max_zoom``
+        is that of the tile index serving the tiles.
         """
         timeline = self.result.timeline
-        window_index = max(0, min(window_index, len(timeline) - 1))
-        max_zoom = TileIndex(self.result.grid, timeline).max_zoom
-        zoom = max(0, min(zoom, max_zoom))
         snap = timeline[window_index]
         slider_parts = []
         for i, s in enumerate(timeline):

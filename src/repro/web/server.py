@@ -2,33 +2,13 @@
 
 Routes
 ------
-===============================  =======================================
-``GET /``                        dashboard (preprocess summary, occupancy)
-``GET /users``                   user directory
-``GET /user/<id>``               one user's patterns + place graph
-``GET /city?window=<i>&zoom=<z>`` the tiled crowd view at one time window
-``GET /animation``               the automated crowd-movement animation
-``GET /api/users``               JSON user list
-``GET /api/user/<id>``           JSON profile
-``GET /api/crowd/<i>``           JSON snapshot
-``GET /api/crowd``               JSON occupancy summary
-``GET /api/flows/<i>``           JSON flows window i → i+1
-``GET /api/tiles``               JSON tile-scheme description
-``GET /api/tiles/<z>/<x>/<y>``   JSON tile (``?window=<i>``)
-``GET /api/animation``           JSON animation frames
-``GET /api/stats``               JSON dataset statistics
-``GET /api/occupancy``           JSON per-cell occupancy across all windows
-``GET /api/communities``         JSON behavioural communities
-``GET /api/metrics/<id>``        JSON mobility analytics for one user
-``GET /api/cache``               JSON cache state (entries, generation)
-``GET|POST /api/refresh``        invalidate the response cache
-``GET /metrics``                 JSON observability snapshot (never cached)
-===============================  =======================================
+Every route is declared once, in :data:`repro.web.routes.ROUTES`, and every
+request goes through :func:`repro.web.routes.resolve`: see that module.
 
 Service architecture (see ``docs/serving.md``)
 ----------------------------------------------
-:class:`CrowdWebApp` is the socket-free service core: a render function
-(:func:`_dispatch` over :class:`~repro.web.api.CrowdWebAPI` /
+:class:`CrowdWebApp` is the socket-free service core: the route table's
+renderers (:class:`~repro.web.api.CrowdWebAPI` /
 :class:`~repro.web.pages.Pages`) behind a
 :class:`~repro.web.cache.ResponseCache`.  The hot path is a dict lookup:
 cacheable routes render **once**, then serve pre-encoded bytes with strong
@@ -39,9 +19,9 @@ with ``result_factory``, it answers ``503`` + ``Retry-After`` while the
 precompute is in flight instead of leaving the first client hanging.
 
 Every request runs inside a ``web.request`` trace span with latency
-recorded per normalized endpoint (``/user/:id``); cache misses add a
-``web.render`` child span.  All of it is a no-op until observability is
-enabled.
+recorded per endpoint label (``/user/:id``; one ``(unmatched)`` label for
+every path no route matches); cache misses add a ``web.render`` child
+span.  All of it is a no-op until observability is enabled.
 """
 
 from __future__ import annotations
@@ -52,147 +32,42 @@ import time
 from email.utils import parsedate_to_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
-from urllib.parse import parse_qs, urlencode, urlparse
 
 from ..obs import get_observer
 from ..pipeline import PipelineResult
 from .api import CrowdWebAPI
-from .cache import CacheEntry, CacheKey, ResponseCache, dataset_fingerprint
+from .cache import CacheEntry, ResponseCache, dataset_fingerprint
 from .pages import Pages
+from .routes import Request, resolve
 
 __all__ = ["CrowdWebApp", "CrowdWebServer", "RETRY_AFTER_S", "route_request"]
 
 #: ``Retry-After`` seconds advertised while the pipeline precompute runs.
 RETRY_AFTER_S = 1
 
-#: Routes that must never be served from (or stored into) the cache.
-_UNCACHEABLE = frozenset({"/metrics", "/api/refresh", "/api/cache"})
-
 HeaderList = List[Tuple[str, str]]
 WebResponse = Tuple[int, HeaderList, bytes]
 
-
-def _endpoint_of(segments: List[str]) -> str:
-    """Normalize a request path to a bounded-cardinality endpoint label.
-
-    Keeps the leading route words (two after ``api``, one otherwise) and
-    collapses the trailing identifier segments to ``:id``.
-    """
-    if not segments:
-        return "/"
-    keep = 2 if segments[0] == "api" else 1
-    parts = segments[:keep] + [":id"] * min(1, len(segments) - keep)
-    return "/" + "/".join(parts)
+_JSON = "application/json"
+_HTML = "text/html; charset=utf-8"
 
 
-def _dispatch(api: CrowdWebAPI, pages: Pages, parsed, segments, query) -> Tuple[int, str, str]:
-    """The routing table proper (wrapped by :func:`route_request`)."""
-
-    def ok_json(payload) -> Tuple[int, str, str]:
-        return 200, "application/json", json.dumps(payload)
-
-    def ok_html(body: str) -> Tuple[int, str, str]:
-        return 200, "text/html; charset=utf-8", body
-
-    def not_found(message: str = "not found") -> Tuple[int, str, str]:
-        return 404, "application/json", json.dumps({"error": message})
-
-    try:
-        if not segments:
-            return ok_html(pages.home())
-        if segments[0] == "users":
-            return ok_html(pages.users())
-        if segments[0] == "user" and len(segments) == 2:
-            page = pages.user(segments[1])
-            return ok_html(page) if page is not None else not_found(f"user {segments[1]}")
-        if segments[0] == "city":
-            window = int(query.get("window", ["9"])[0])
-            zoom = int(query.get("zoom", ["2"])[0])
-            return ok_html(pages.city(window, zoom=zoom))
-        if segments[0] == "animation":
-            return ok_html(pages.animation())
-        if segments[0] == "occupancy":
-            return ok_html(pages.occupancy())
-        if segments[0] == "communities":
-            return ok_html(pages.communities())
-        if segments[0] == "analytics":
-            return ok_html(pages.analytics())
-        if segments[0] == "metrics" and len(segments) == 1:
-            return ok_json(get_observer().metrics_payload())
-        if segments[0] == "api":
-            if len(segments) == 2 and segments[1] == "users":
-                return ok_json(api.users())
-            if len(segments) == 3 and segments[1] == "user":
-                payload = api.user(segments[2])
-                return ok_json(payload) if payload is not None else not_found(
-                    f"user {segments[2]}"
-                )
-            if len(segments) == 2 and segments[1] == "crowd":
-                return ok_json(api.crowd_summary())
-            if len(segments) == 3 and segments[1] == "crowd":
-                return ok_json(api.crowd(int(segments[2])))
-            if len(segments) == 3 and segments[1] == "flows":
-                return ok_json(api.flows(int(segments[2])))
-            if len(segments) == 2 and segments[1] == "tiles":
-                return ok_json(api.tile_scheme())
-            if len(segments) == 5 and segments[1] == "tiles":
-                window = int(query.get("window", ["9"])[0])
-                return ok_json(
-                    api.tile(
-                        int(segments[2]), int(segments[3]), int(segments[4]),
-                        window=window,
-                    )
-                )
-            if len(segments) == 2 and segments[1] == "animation":
-                return ok_json(api.animation())
-            if len(segments) == 2 and segments[1] == "stats":
-                return ok_json(api.stats())
-            if len(segments) == 2 and segments[1] == "occupancy":
-                return ok_json(api.occupancy())
-            if len(segments) == 2 and segments[1] == "communities":
-                min_similarity = float(query.get("min_similarity", ["0.05"])[0])
-                return ok_json(api.communities(min_similarity))
-            if len(segments) == 2 and segments[1] == "spikes":
-                z = float(query.get("z", ["4.0"])[0])
-                return ok_json(api.spikes(z))
-            if len(segments) == 3 and segments[1] == "metrics":
-                payload = api.user_metrics(segments[2])
-                return ok_json(payload) if payload is not None else not_found(
-                    f"metrics for {segments[2]}"
-                )
-        return not_found(parsed.path)
-    except (ValueError, IndexError) as exc:
-        return 400, "application/json", json.dumps({"error": str(exc)})
+def _json_bytes(payload: Dict) -> bytes:
+    """Strict JSON: a NaN or infinity raises instead of emitting invalid JSON."""
+    return json.dumps(payload, allow_nan=False).encode("utf-8")
 
 
 def route_request(api: CrowdWebAPI, pages: Pages, path: str) -> Tuple[int, str, str]:
-    """Dispatch one GET request path → (status, content_type, body).
+    """Serve one GET request path → (status, content_type, body).
 
-    Pure function (no sockets, no cache) so the whole routing table is
-    unit-testable; the served hot path is :meth:`CrowdWebApp.handle`,
-    which wraps the same dispatch in the response cache.  When
-    observability is enabled the request is traced and its latency
-    recorded per normalized endpoint.
+    Socket-free and unshared: the request goes through a throwaway
+    :class:`CrowdWebApp` around ``api`` and ``pages``, so it takes the same
+    resolve, render and observability path as the server.
     """
-    parsed = urlparse(path)
-    segments = [s for s in parsed.path.split("/") if s]
-    query = parse_qs(parsed.query)
-
-    observer = get_observer()
-    if not observer.enabled:
-        return _dispatch(api, pages, parsed, segments, query)
-
-    endpoint = _endpoint_of(segments)
-    with observer.span("web.request", endpoint=endpoint) as span:
-        start = time.perf_counter()
-        status, content_type, body = _dispatch(api, pages, parsed, segments, query)
-        elapsed_s = time.perf_counter() - start
-        span.set("status", status)
-        observer.observe("repro_web_request_latency_s", elapsed_s, label=endpoint)
-        observer.inc("repro_web_requests_total", label=endpoint)
-        if status >= 400:
-            observer.inc("repro_web_errors_total", label=endpoint)
-    return status, content_type, body
+    app = CrowdWebApp(api.result, cache_entries=1)
+    app.api, app.pages = api, pages
+    status, headers, body = app.handle("GET", path)
+    return status, dict(headers)["Content-Type"], body.decode("utf-8")
 
 
 def _header(headers: Optional[Mapping], name: str) -> Optional[str]:
@@ -226,22 +101,15 @@ class CrowdWebApp:
     def handle(
         self, method: str, path: str, headers: Optional[Mapping] = None
     ) -> WebResponse:
-        """Serve one request: cache lookup, conditional, content negotiation."""
-        parsed = urlparse(path)
-        segments = [s for s in parsed.path.split("/") if s]
-        query = parse_qs(parsed.query)
-
+        """Serve one request: resolve, cache lookup, conditional, negotiation."""
         observer = get_observer()
-        if not observer.enabled:
-            return self._handle_inner(method, parsed, segments, query, headers)
-
-        endpoint = _endpoint_of(segments)
-        with observer.span("web.request", endpoint=endpoint) as span:
+        with observer.span("web.request") as span:
             start = time.perf_counter()
-            status, out_headers, body = self._handle_inner(
-                method, parsed, segments, query, headers
-            )
+            request = resolve(self, method, path)
+            status, out_headers, body = self._respond(request, headers)
             elapsed_s = time.perf_counter() - start
+            endpoint = request.label
+            span.set("endpoint", endpoint)
             span.set("status", status)
             observer.observe("repro_web_request_latency_s", elapsed_s, label=endpoint)
             observer.inc("repro_web_requests_total", label=endpoint)
@@ -250,53 +118,46 @@ class CrowdWebApp:
                 observer.inc("repro_web_errors_total", label=endpoint)
         return status, out_headers, body
 
-    def _handle_inner(
-        self, method: str, parsed, segments, query, headers: Optional[Mapping]
-    ) -> WebResponse:
-        normalized = "/" + "/".join(segments)
-        if method == "POST":
-            if normalized == "/api/refresh":
-                return self._refresh()
-            return self._json_response(404, {"error": f"no POST route {normalized}"})
-        if normalized == "/api/refresh":
-            return self._refresh()
-        if normalized == "/api/cache":
-            return self._json_response(200, self.cache.info())
-        if normalized == "/metrics":
-            payload = get_observer().metrics_payload()
-            status, out_headers, body = self._json_response(200, payload)
-            return status, out_headers + [("Cache-Control", "no-store")], body
+    def _respond(self, request: Request, headers: Optional[Mapping]) -> WebResponse:
+        route = request.route
+        if request.status != 200:
+            out_headers = [("Content-Type", _JSON)]
+            if request.status == 405:
+                out_headers.append(("Allow", route.method))
+            return request.status, out_headers, _json_bytes({"error": request.error})
+        if not route.cached:
+            status, content_type, body = self._render(request)
+            return status, [("Content-Type", content_type), ("Cache-Control", "no-store")], body
 
-        key = self._cache_key(segments, query)
+        key = self.cache.key(route.method, request.key)
         entry = self.cache.lookup(key)
         if entry is None:
-            status, content_type, text = self._render(parsed, segments, query)
+            status, content_type, body = self._traced_render(request)
             if status != 200:
                 # Errors are never cached (and carry no validators).
-                return status, [("Content-Type", content_type)], text.encode("utf-8")
-            entry = self.cache.store(key, text.encode("utf-8"), content_type)
+                return status, [("Content-Type", content_type)], body
+            entry = self.cache.store(key, body, content_type)
         return self._serve_entry(entry, headers)
 
-    def _cache_key(self, segments, query) -> CacheKey:
-        canonical_query = urlencode(
-            sorted((name, value) for name, values in query.items() for value in values)
-        )
-        return self.cache.key("GET", "/" + "/".join(segments), canonical_query)
+    def _render(self, request: Request) -> Tuple[int, str, bytes]:
+        """Call the route's renderer: HTML for a string, strict JSON for a dict."""
+        route = request.route
+        args = request.args + (route.extra(self) if route.extra else ())
+        payload = route.renderer(self)(*args)
+        if isinstance(payload, str):
+            return 200, _HTML, payload.encode("utf-8")
+        if payload is None:
+            return 404, _JSON, _json_bytes({"error": f"nothing at {request.key}"})
+        return 200, _JSON, _json_bytes(payload)
 
-    def _render(self, parsed, segments, query) -> Tuple[int, str, str]:
+    def _traced_render(self, request: Request) -> Tuple[int, str, bytes]:
         """One real render (a cache miss): traced and counted."""
         observer = get_observer()
-        if not observer.enabled:
-            return _dispatch(self.api, self.pages, parsed, segments, query)
-        endpoint = _endpoint_of(segments)
-        with observer.span("web.render", endpoint=endpoint):
+        with observer.span("web.render", endpoint=request.label):
             start = time.perf_counter()
-            result = _dispatch(self.api, self.pages, parsed, segments, query)
-            observer.observe(
-                "repro_web_render_latency_s",
-                time.perf_counter() - start,
-                label=endpoint,
-            )
+            result = self._render(request)
+            elapsed_s = time.perf_counter() - start
+            observer.observe("repro_web_render_latency_s", elapsed_s, label=request.label)
             observer.inc("repro_web_renders_total")
         return result
 
@@ -336,21 +197,15 @@ class CrowdWebApp:
             return our_time <= their_time
         return False
 
-    @staticmethod
-    def _json_response(status: int, payload: Dict) -> WebResponse:
-        return (
-            status,
-            [("Content-Type", "application/json")],
-            json.dumps(payload).encode("utf-8"),
-        )
+    def _metrics(self) -> Dict:
+        """The observability snapshot served at ``/metrics``."""
+        return get_observer().metrics_payload()
 
-    def _refresh(self) -> WebResponse:
+    def _refresh(self) -> Dict:
         """Explicit invalidation: drop cached responses and tile aggregates."""
         dropped = self.cache.invalidate()
         self.api.tiles.invalidate()
-        return self._json_response(
-            200, {"invalidated": dropped, "generation": self.cache.generation}
-        )
+        return {"invalidated": dropped, "generation": self.cache.generation}
 
     # -------------------------------------------------------------- warm-up
 
@@ -454,12 +309,8 @@ class CrowdWebServer:
                 try:
                     status, headers, body = app.handle(method, self.path, self.headers)
                 except Exception as exc:  # noqa: BLE001 - keep the worker alive
-                    payload = json.dumps(
-                        {"error": f"{type(exc).__name__}: {exc}"}
-                    ).encode("utf-8")
-                    status, headers, body = (
-                        500, [("Content-Type", "application/json")], payload
-                    )
+                    payload = {"error": f"{type(exc).__name__}: {exc}"}
+                    status, headers, body = 500, [("Content-Type", _JSON)], _json_bytes(payload)
                 self._respond(status, headers, body)
 
             def _drain_body(self) -> None:
@@ -517,19 +368,12 @@ class CrowdWebServer:
     def _unready_response(self) -> WebResponse:
         error = self._app_error
         if error is not None:
-            payload = json.dumps({"error": f"pipeline build failed: {error}"})
-            return 500, [("Content-Type", "application/json")], payload.encode("utf-8")
-        payload = json.dumps(
-            {
-                "error": "service warming up: pipeline precompute in flight",
-                "retry_after_s": RETRY_AFTER_S,
-            }
-        )
-        headers: HeaderList = [
-            ("Content-Type", "application/json"),
-            ("Retry-After", str(RETRY_AFTER_S)),
-        ]
-        return 503, headers, payload.encode("utf-8")
+            payload = {"error": f"pipeline build failed: {error}"}
+            return 500, [("Content-Type", _JSON)], _json_bytes(payload)
+        payload = {"error": "service warming up: pipeline precompute in flight",
+                   "retry_after_s": RETRY_AFTER_S}
+        headers = [("Content-Type", _JSON), ("Retry-After", str(RETRY_AFTER_S))]
+        return 503, headers, _json_bytes(payload)
 
     def wait_ready(self, timeout: Optional[float] = None) -> bool:
         """Block until the pipeline result is in (True) or failed/timed out."""
@@ -548,14 +392,6 @@ class CrowdWebServer:
                 f"({self._app_error or 'precompute in flight'})"
             )
         return app
-
-    @property
-    def api(self) -> CrowdWebAPI:
-        return self.app.api
-
-    @property
-    def pages(self) -> Pages:
-        return self.app.pages
 
     @property
     def address(self) -> Tuple[str, int]:

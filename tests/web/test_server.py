@@ -15,6 +15,33 @@ from repro.web import (
 )
 
 
+#: Malformed, out-of-range, non-finite, unknown and repeated parameters.
+BAD_PARAMS = [
+    "/api/crowd/banana",
+    "/api/crowd/999",
+    "/api/crowd/1000000",
+    "/api/spikes?z=nan",
+    "/api/spikes?z=inf",
+    "/api/spikes?z=1e400",
+    "/api/spikes?z=0",
+    "/city?window=1000000",
+    "/city?window=-5",
+    "/city?window=",
+    "/city?window=3&window=3",
+    "/api/stats?x=1",
+    "/api/communities?min_similarity=-inf",
+]
+
+BAD_TILE_PARAMS = [
+    "/api/tiles/9/0/0",  # zoom beyond max_zoom
+    "/api/tiles/1/5/0",  # x outside [0, 2^z)
+    "/api/tiles/1/a/0",
+    "/api/tiles/0/0/0?window=1000000",
+    "/api/tiles/0/0/0?window=-5",
+    "/api/tiles/0/0/0?zoom=1",
+]
+
+
 @pytest.fixture(scope="module")
 def handlers(pipeline_result):
     return CrowdWebAPI(pipeline_result), Pages(pipeline_result)
@@ -66,22 +93,21 @@ class TestRouting:
         assert status == 404
 
     def test_bad_params_400(self, handlers):
-        status, _, _ = route_request(*handlers, "/api/crowd/banana")
-        assert status == 400
-        status, _, _ = route_request(*handlers, "/api/crowd/999")
-        assert status == 400
+        for path in BAD_PARAMS:
+            status, ctype, body = route_request(*handlers, path)
+            assert (path, status) == (path, 400)
+            assert ctype == "application/json"
+            assert json.loads(body)["error"]
 
     def test_bad_tile_params_400(self, handlers):
-        status, _, _ = route_request(*handlers, "/api/tiles/9/0/0")
-        assert status == 400  # zoom beyond max_zoom
-        status, _, _ = route_request(*handlers, "/api/tiles/1/5/0")
-        assert status == 400  # x outside [0, 2^z)
-        status, _, _ = route_request(*handlers, "/api/tiles/1/a/0")
-        assert status == 400
+        for path in BAD_TILE_PARAMS:
+            status, _, _ = route_request(*handlers, path)
+            assert (path, status) == (path, 400)
 
     def test_city_window_clamped(self, handlers):
+        # An out-of-range window gets the same 400 on every route.
         status, _, _ = route_request(*handlers, "/city?window=999")
-        assert status == 200
+        assert status == 400
 
     def test_metrics_route(self, handlers, pipeline_result):
         uid = sorted(pipeline_result.profiles)[0]
@@ -211,8 +237,39 @@ class TestReadiness:
             assert o.registry.counter("repro_web_renders_total") == 0
             assert o.registry.counter("repro_web_cache_hits_total") == 1
 
+    def test_city_slider_links_hit_warmed_entries(self, pipeline_result):
+        import re
+
+        from repro.obs import observed
+        from repro.web import CrowdWebApp
+
+        app = CrowdWebApp(pipeline_result)
+        app.warm()
+        _status, _headers, body = app.handle("GET", "/city", None)
+        links = set(re.findall(r'href="(/city\?window=\d+&amp;zoom=2)"', body.decode("utf-8")))
+        assert len(links) == len(pipeline_result.timeline)
+        with observed() as o:
+            for link in links:
+                status, _headers, _body = app.handle("GET", link.replace("&amp;", "&"), None)
+                assert status == 200
+            assert o.registry.counter("repro_web_renders_total") == 0
+
 
 class TestCacheRoutes:
+    def test_refresh_is_post_only(self, pipeline_result):
+        from repro.web import CrowdWebApp
+
+        app = CrowdWebApp(pipeline_result)
+        app.handle("GET", "/api/users", None)
+        status, headers, _body = app.handle("GET", "/api/refresh", None)
+        assert status == 405
+        assert ("Allow", "POST") in headers
+        assert len(app.cache) == 1
+        assert app.cache.generation == 0
+        status, _headers, body = app.handle("POST", "/api/refresh", None)
+        assert status == 200
+        assert json.loads(body) == {"invalidated": 1, "generation": 1}
+
     def test_cache_info_route(self, pipeline_result):
         from repro.web import CrowdWebApp
 
@@ -285,6 +342,20 @@ class TestObservability:
         assert latency["/api/user/:id"]["count"] == 2
         assert len(latency["/api/user/:id"]["counts"]) == \
             len(latency["/api/user/:id"]["buckets"]) + 1
+
+    def test_unmatched_paths_share_one_label(self, handlers):
+        from repro.obs import observed
+        from repro.web.routes import UNMATCHED
+
+        with observed():
+            for i in range(50):
+                status, _, _ = route_request(*handlers, f"/probe{i}")
+                assert status == 404
+            _, _, body = route_request(*handlers, "/metrics")
+        payload = json.loads(body)
+        assert payload["counters"]["repro_web_requests_total"] == {UNMATCHED: 50}
+        assert payload["counters"]["repro_web_errors_total"] == {UNMATCHED: 50}
+        assert list(payload["histograms"]["repro_web_request_latency_s"]) == [UNMATCHED]
 
     def test_request_spans_record_endpoint_and_status(self, handlers):
         from repro.obs import observed
