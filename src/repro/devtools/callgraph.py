@@ -4,22 +4,21 @@
 module stitches the digests together.  :class:`ProjectAnalysis` resolves the
 symbolic callee forms across module boundaries — through imports and their
 aliases, module attributes, ``functools.partial`` wrappers, ``self`` dispatch,
-and methods on locally-constructed instances — then solves the interprocedural
-:class:`~repro.devtools.domains.DomainEnv` fixpoint over the resolved edges.
+and methods on locally-constructed instances — and builds the thread,
+exception, and lifecycle analyses on top of that resolver on demand.
 
 Three consumers sit on top:
 
-* the **CW6xx rules** read :meth:`ProjectAnalysis.call_conflicts` (known
-  actual domain vs. known, different expected domain at a resolved call) and
-  :meth:`ProjectAnalysis.dead_exports` (``__all__`` entries no other module
-  references or imports);
+* the **project rules** read :meth:`ProjectAnalysis.dead_exports` (CW604:
+  ``__all__`` entries no other module references or imports) and the
+  per-module finding records of the CW7xx and CW8xx analyses;
 * the **engine/cache** read :meth:`ProjectAnalysis.dep_key`, a digest of
   everything a module's findings can observe about the rest of the project —
   a file is re-analyzed only when its content *or* that digest changes;
-* the **CLI** renders :class:`CallGraph` (``--callgraph``, ``--dot``).
+* the **CLI** renders :class:`CallGraph` (``--callgraph``).
 
 Resolution is deliberately conservative: a call that cannot be pinned to a
-single definition produces no edge, no conflict, and no cache dependency.
+single definition produces no edge and no finding.
 """
 
 from __future__ import annotations
@@ -27,20 +26,17 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .domains import (
-    CONFLICT,
-    FAMILIES,
-    DomainEnv,
-    FunctionRef,
-    extract_summary,
-)
+from .domains import extract_summary
 from .exceptions import ExceptionAnalysis
 from .resources import LifecycleAnalysis
 from .threads import ThreadAnalysis
 
 __all__ = ["CallGraph", "ProjectAnalysis"]
+
+#: A function's identity across the project: (module key, qualified name).
+FunctionRef = Tuple[str, str]
 
 #: ``("func", ref)`` / ``("class", cref)`` / ``("module", name)`` — what a
 #: name resolves to before call semantics (constructor vs. plain call) apply.
@@ -99,42 +95,23 @@ class CallGraph:
         lines.extend(f"{node} (no resolved calls)" for node in isolated)
         return "\n".join(lines)
 
-    def to_dot(self) -> str:
-        """Graphviz rendering, one subgraph cluster per module."""
-        by_module: Dict[str, List[str]] = {}
-        for node in sorted(self.nodes):
-            module, _, qualname = node.partition(":")
-            by_module.setdefault(module, []).append(qualname)
-        out = ["digraph crowdweb_calls {", "  rankdir=LR;", "  node [shape=box];"]
-        for index, (module, qualnames) in enumerate(sorted(by_module.items())):
-            out.append(f'  subgraph "cluster_{index}" {{')
-            out.append(f'    label="{module}";')
-            for qualname in qualnames:
-                out.append(f'    "{module}:{qualname}" [label="{qualname}"];')
-            out.append("  }")
-        for src, dst in self.edges:
-            out.append(f'  "{src}" -> "{dst}";')
-        out.append("}")
-        return "\n".join(out)
-
 
 class ProjectAnalysis:
-    """Summaries + resolution + solved domains for one lint invocation.
+    """Summaries + resolution for one lint invocation.
 
-    Construct via :meth:`build` (extracts or cache-loads summaries, then
-    solves the domain fixpoint) or :meth:`from_dict` (rehydrates a solved
-    analysis shipped to a worker process — no re-solving).
+    Construct via :meth:`build` (extracts or cache-loads summaries) or
+    :meth:`from_dict` (rehydrates the summaries shipped to a worker process).
+    Every derived view — call graph, thread, exception, and lifecycle
+    analyses — is rebuilt lazily from the summaries and :meth:`resolve`.
     """
 
     _MAX_CHASE = 6  # import/alias chains longer than this stay unresolved
 
     def __init__(self, summaries: Dict[str, Dict[str, object]]):
         self.summaries = summaries
-        self.env = DomainEnv()
         self.summaries_built = 0
         self.summaries_cached = 0
         self._resolve_cache: Dict[Tuple[str, str, str], Optional[Tuple[FunctionRef, bool]]] = {}
-        self._conflicts: Dict[str, List[Dict[str, object]]] = {}
         self._dead: Dict[str, List[Dict[str, object]]] = {}
         self._dep_keys: Dict[str, str] = {}
         self._thread_analysis: Optional["ThreadAnalysis"] = None
@@ -176,39 +153,15 @@ class ProjectAnalysis:
         project = cls(summaries)
         project.summaries_built = built
         project.summaries_cached = cached
-        project.env.solve(summaries, project.resolve)
         return project
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe snapshot (summaries + solved fixpoint) for workers."""
-        return {
-            "summaries": self.summaries,
-            "expected": {
-                _ref_key(ref): slots for ref, slots in self.env.expected.items()
-            },
-            "ret": {_ref_key(ref): slots for ref, slots in self.env.ret.items()},
-            "seeded": {
-                _ref_key(ref): {param: sorted(families) for param, families in per.items()}
-                for ref, per in self.env.seeded.items()
-            },
-        }
+        """A JSON-safe snapshot (the summaries) for workers."""
+        return {"summaries": self.summaries}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ProjectAnalysis":
-        project = cls(data["summaries"])  # type: ignore[arg-type]
-        project.env.expected = {
-            _ref_from_key(key): slots
-            for key, slots in data["expected"].items()  # type: ignore[union-attr]
-        }
-        project.env.ret = {
-            _ref_from_key(key): slots
-            for key, slots in data["ret"].items()  # type: ignore[union-attr]
-        }
-        project.env.seeded = {
-            _ref_from_key(key): {param: set(families) for param, families in per.items()}
-            for key, per in data["seeded"].items()  # type: ignore[union-attr]
-        }
-        return project
+        return cls(data["summaries"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------ resolution
 
@@ -233,9 +186,6 @@ class ProjectAnalysis:
         self, module_key: str, caller: str, sym: List[object]
     ) -> Optional[Tuple[FunctionRef, bool]]:
         kind = sym[0]
-        if kind == "partial":
-            # Hints never carry partials, but be total anyway.
-            return self.resolve(module_key, caller, sym[1])  # type: ignore[arg-type]
         if kind == "name":
             return self._as_callable(self._lookup(module_key, sym[1]))  # type: ignore[arg-type]
         if kind == "self":
@@ -415,82 +365,15 @@ class ProjectAnalysis:
         for module_key in sorted(self.summaries):
             for qualname in self.summaries[module_key]["functions"]:  # type: ignore[union-attr]
                 graph.add_node(f"{module_key}:{qualname}")
-        for module_key, call, ref, _bound in self._resolved_calls():
-            graph.add_edge(
-                f"{module_key}:{call['caller']}", f"{ref[0]}:{ref[1]}"
-            )
-        return graph
-
-    def _resolved_calls(
-        self, only_module: Optional[str] = None
-    ) -> Iterator[Tuple[str, Dict[str, object], FunctionRef, bool]]:
-        keys = [only_module] if only_module is not None else sorted(self.summaries)
-        for module_key in keys:
-            summary = self.summaries.get(module_key)
-            if summary is None:
-                continue
-            for call in summary["calls"]:  # type: ignore[index]
+        for module_key in sorted(self.summaries):
+            for call in self.summaries[module_key]["calls"]:  # type: ignore[union-attr]
                 resolved = self.resolve(module_key, call["caller"], call["callee"])
                 if resolved is not None:
-                    yield module_key, call, resolved[0], resolved[1]
+                    ref = resolved[0]
+                    graph.add_edge(f"{module_key}:{call['caller']}", f"{ref[0]}:{ref[1]}")
+        return graph
 
     # ------------------------------------------------------------ rule feeds
-
-    def call_conflicts(self, module_key: str) -> List[Dict[str, object]]:
-        """Known-vs-known domain disagreements at calls made *by* a module.
-
-        Each record carries everything the CW6xx rules need to phrase and
-        anchor a finding; conflicted (``CONFLICT``) and unknown slots are
-        filtered before this point, so every record is a definite claim.
-        """
-        if module_key in self._conflicts:
-            return self._conflicts[module_key]
-        records: List[Dict[str, object]] = []
-        for _, call, ref, bound in self._resolved_calls(module_key):
-            info = self._function_info(ref[0], ref[1])
-            if info is None:
-                continue
-            positional = list(info["positional"])  # type: ignore[arg-type]
-            if bound and positional:
-                positional = positional[1:]
-            pairs: List[Tuple[str, List[object], str]] = []
-            base = int(call["offset"])  # type: ignore[arg-type]
-            for index, hint in enumerate(call["args"]):  # type: ignore[arg-type]
-                slot = base + index
-                if slot >= len(positional):
-                    break
-                pairs.append((positional[slot], hint, call["texts"][index]))  # type: ignore[index]
-            for kw_name, hint in sorted(call["kwargs"].items()):  # type: ignore[union-attr]
-                if kw_name in info["params"]:  # type: ignore[operator]
-                    pairs.append((kw_name, hint, call["kw_texts"][kw_name]))  # type: ignore[index]
-            for param, hint, text in pairs:
-                actual = (
-                    self.env.hint_domains(module_key, call["caller"], hint, self.resolve)
-                    or {}
-                )
-                expected = self.env.expected_domains(ref, param)
-                for family in FAMILIES:
-                    have = actual.get(family)
-                    want = expected.get(family)
-                    if not have or not want or have == want:
-                        continue
-                    if CONFLICT in (have, want):
-                        continue
-                    records.append(
-                        {
-                            "family": family,
-                            "line": call["line"],
-                            "col": call["col"],
-                            "caller": call["caller"],
-                            "callee": f"{ref[0]}.{ref[1]}",
-                            "param": param,
-                            "expected": want,
-                            "actual": have,
-                            "arg": text,
-                        }
-                    )
-        self._conflicts[module_key] = records
-        return records
 
     def dead_exports(self, module_key: str) -> List[Dict[str, object]]:
         """``__all__`` entries of a module no other module references.
@@ -535,29 +418,15 @@ class ProjectAnalysis:
     def dep_key(self, module_key: str) -> str:
         """Digest of everything outside a module its findings depend on.
 
-        Covers the solved signature of every function the module calls (and
-        its own — their expected domains feed call-site checks inside the
-        module) plus which of its exports the rest of the project references.
-        Unchanged digest + unchanged content ⇒ cached findings stay valid.
+        Every project rule reads only the records anchored in its own module
+        — which of its exports the rest of the project references, and its
+        thread, exception, and lifecycle findings — so the digest of those
+        records is the whole dependency.  Unchanged digest + unchanged
+        content ⇒ cached findings stay valid.
         """
         if module_key in self._dep_keys:
             return self._dep_keys[module_key]
-        refs: Set[FunctionRef] = set()
-        for _, _call, ref, _bound in self._resolved_calls(module_key):
-            refs.add(ref)
-        summary = self.summaries.get(module_key, {})
-        for qualname in summary.get("functions", {}):
-            if qualname != "<module>":
-                refs.add((module_key, qualname))
-        signatures = {}
-        for ref in refs:
-            info = self._function_info(ref[0], ref[1])
-            if info is not None:
-                signatures[_ref_key(ref)] = self.env.signature(
-                    ref, info["positional"]  # type: ignore[arg-type]
-                )
         payload = {
-            "signatures": signatures,
             "dead": sorted(record["name"] for record in self.dead_exports(module_key)),  # type: ignore[misc]
             "threads": self.threads().dep_digest(module_key),
             "exceptions": self.exceptions().dep_digest(module_key),
@@ -600,22 +469,11 @@ class ProjectAnalysis:
     # ------------------------------------------------------------ lifecycle
 
     def lifecycle(self) -> LifecycleAnalysis:
-        """Resource-lifetime + cache-coherence view, built lazily."""
+        """Resource-lifetime view, built lazily."""
         if self._lifecycle_analysis is None:
-            self._lifecycle_analysis = LifecycleAnalysis(
-                self.summaries, self.resolve, self.exceptions(), self.threads()
-            )
+            self._lifecycle_analysis = LifecycleAnalysis(self.summaries, self.exceptions())
         return self._lifecycle_analysis
 
     def lifecycle_records(self, module_key: str) -> List[Dict[str, object]]:
-        """CW801/802/804/805/806 finding records anchored in ``module_key``."""
+        """CW801/802/804 finding records anchored in ``module_key``."""
         return self.lifecycle().records_for(module_key)
-
-
-def _ref_key(ref: FunctionRef) -> str:
-    return f"{ref[0]}\n{ref[1]}"
-
-
-def _ref_from_key(key: str) -> FunctionRef:
-    module_key, _, qualname = key.partition("\n")
-    return (module_key, qualname)

@@ -22,11 +22,9 @@ from collections import Counter
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import load_baseline, new_findings, write_baseline
 from .cache import DEFAULT_CACHE_DIR, LintCache
 from .engine import LintEngine, all_rules, iter_python_files, module_name_for, rule_registry
 from .fix import fix_file, fix_source, unified_diff
-from .sarif import sarif_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("human", "json", "sarif"),
+        choices=("human", "json"),
         default="human",
         help="output format (default: human)",
     )
@@ -93,25 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="append a per-rule finding count summary",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        metavar="FILE",
-        help="report only findings not recorded in FILE (the ratchet)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="with --baseline: record the current findings in FILE and exit 0",
-    )
-    parser.add_argument(
         "--callgraph",
         action="store_true",
         help="print the resolved whole-program call graph instead of linting",
-    )
-    parser.add_argument(
-        "--dot",
-        action="store_true",
-        help="with --callgraph: emit Graphviz DOT instead of edge lines",
     )
     parser.add_argument(
         "--threads",
@@ -168,8 +150,8 @@ def _list_rules(as_json: bool) -> int:
     return 0
 
 
-def _print_callgraph(paths: List[Path], as_dot: bool) -> int:
-    """``--callgraph``: build the whole-program graph and print it."""
+def _build_project(paths: List[Path]):
+    """The whole-program analysis of ``paths``, or ``None`` on an unreadable file."""
     from .callgraph import ProjectAnalysis  # deferred: lint runs may skip it
 
     files = []
@@ -178,52 +160,26 @@ def _print_callgraph(paths: List[Path], as_dot: bool) -> int:
             source = file_path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             print(f"crowdweb-lint: unreadable file {file_path}: {exc}", file=sys.stderr)
-            return 2
+            return None
         files.append(
             (str(file_path), source, module_name_for(file_path),
              file_path.name == "__init__.py")
         )
-    graph = ProjectAnalysis.build(files).call_graph()
-    print(graph.to_dot() if as_dot else graph.render())
-    return 0
+    return ProjectAnalysis.build(files)
 
 
-def _print_threads(paths: List[Path]) -> int:
-    """``--threads``: the race-detector's view — roots, shared state, locks."""
-    from .callgraph import ProjectAnalysis  # deferred: lint runs may skip it
-
-    files = []
-    for file_path in iter_python_files(paths):
-        try:
-            source = file_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"crowdweb-lint: unreadable file {file_path}: {exc}", file=sys.stderr)
-            return 2
-        files.append(
-            (str(file_path), source, module_name_for(file_path),
-             file_path.name == "__init__.py")
-        )
-    print(ProjectAnalysis.build(files).threads().render())
-    return 0
-
-
-def _print_raises(paths: List[Path], symbol: str) -> int:
-    """``--raises``: one function's inferred may-raise propagation chain."""
-    from .callgraph import ProjectAnalysis  # deferred: lint runs may skip it
-
-    files = []
-    for file_path in iter_python_files(paths):
-        try:
-            source = file_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"crowdweb-lint: unreadable file {file_path}: {exc}", file=sys.stderr)
-            return 2
-        files.append(
-            (str(file_path), source, module_name_for(file_path),
-             file_path.name == "__init__.py")
-        )
-    analysis = ProjectAnalysis.build(files).exceptions()
-    rendered = analysis.render_chain(symbol)
+def _explain(paths: List[Path], args: argparse.Namespace) -> int:
+    """``--callgraph`` / ``--threads`` / ``--raises``: print one analysis view."""
+    project = _build_project(paths)
+    if project is None:
+        return 2
+    if args.callgraph:
+        print(project.call_graph().render())
+        return 0
+    if args.threads:
+        print(project.threads().render())
+        return 0
+    rendered = project.exceptions().render_chain(args.raises)
     print(rendered)
     return 2 if rendered.startswith("--raises: unknown symbol") else 0
 
@@ -231,7 +187,7 @@ def _print_raises(paths: List[Path], symbol: str) -> int:
 def _run_fix(engine: LintEngine, paths: List[Path], diff_only: bool) -> int:
     """``--fix`` / ``--diff``: rewrite (or preview) then report the rest.
 
-    Project-scoped rules (CW703's setdefault rewrite) attach fixes the
+    Project-scoped rules (CW802's ``with lock:`` rewrite) attach fixes the
     per-file re-lint cannot reproduce, so one whole-program lint seeds the
     fixer with every fixable finding up front.
     """
@@ -282,11 +238,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_rules:
         return _list_rules(args.json)
 
-    missing = [path for path in args.paths if not Path(path).exists()]
-    if missing:
-        print(f"crowdweb-lint: no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
-
     known = set(rule_registry())
     unknown = [
         rule_id
@@ -303,49 +254,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     engine = LintEngine(select=_split_ids(args.select), ignore=_split_ids(args.ignore))
     paths = [Path(path) for path in args.paths]
-
-    if args.callgraph or args.dot:
-        return _print_callgraph(paths, as_dot=args.dot)
-
-    if args.threads:
-        return _print_threads(paths)
-
-    if args.raises:
-        return _print_raises(paths, args.raises)
-
-    if args.update_baseline and args.baseline is None:
-        print("crowdweb-lint: --update-baseline requires --baseline FILE", file=sys.stderr)
+    try:
+        if args.callgraph or args.threads or args.raises:
+            return _explain(paths, args)
+        if args.fix or args.diff:
+            return _run_fix(engine, paths, diff_only=args.diff and not args.fix)
+        cache = None if args.no_cache else LintCache(root=args.cache_dir)
+        findings = engine.lint_paths(paths, jobs=max(1, args.jobs), cache=cache)
+    except FileNotFoundError as exc:
+        print(f"crowdweb-lint: no such path: {exc.filename}", file=sys.stderr)
         return 2
 
-    if args.fix or args.diff:
-        return _run_fix(engine, paths, diff_only=args.diff and not args.fix)
-
-    cache = None if args.no_cache else LintCache(root=args.cache_dir)
-    findings = engine.lint_paths(paths, jobs=max(1, args.jobs), cache=cache)
-
-    if args.baseline is not None:
-        if args.update_baseline:
-            recorded = write_baseline(args.baseline, findings)
-            print(
-                f"crowdweb-lint: recorded {recorded} finding(s) in {args.baseline}",
-                file=sys.stderr,
-            )
-            return 0
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(f"crowdweb-lint: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed = new_findings(findings, baseline)
-        if suppressed:
-            print(
-                f"crowdweb-lint: {suppressed} baselined finding(s) suppressed",
-                file=sys.stderr,
-            )
-
-    if args.format == "sarif":
-        print(sarif_json(findings))
-    elif args.format == "json":
+    if args.format == "json":
         payload = {
             "findings": [finding.as_dict() for finding in findings],
             "count": len(findings),

@@ -1,45 +1,19 @@
-"""Value-domain seeding, module summaries, and interprocedural propagation.
+"""Module summaries for the whole-program layer, plus two per-file seed helpers.
 
-crowdlint v2 (``flow.py``) can follow a value inside one function; it stops
-at the signature.  The refactors on the ROADMAP — interning time-bin×place
-items, user ids, and microcell ids to dense ints; incremental re-aggregation
-keyed by those ids — introduce a bug class that *lives* on the signature
-boundary: a ``user_id`` int passed where a ``microcell_id`` int is expected,
-degrees fed to a ``_m`` parameter, ``(lat, lon)`` swapped two calls away from
-where the tuple was built.  All of those type-check fine, run fine, and
-produce plausible-looking wrong crowd maps.
-
-This module provides the value-domain half of the whole-program layer:
-
-* **Domain families** — four independent value families, each a small flat
-  lattice (unknown < value < conflict):
-
-  - ``axis``: ``lat`` / ``lon``
-  - ``unit``: ``meters`` / ``kilometers`` / ``degrees`` / ``radians`` /
-    ``seconds`` / ``milliseconds``
-  - ``id``:   ``user_id`` / ``microcell_id`` / ``item_id``
-  - ``dt``:   ``naive`` / ``aware`` datetimes
-
-* **Seeding** — domains are read off identifier conventions the codebase
-  already enforces (CW101/CW102 police them per-file): ``lat``/``lon``
-  classify as axes, ``_m``/``_deg``/``_s`` suffixes as units,
-  ``user_id``/``microcell_id``/``item_id`` (and ``owner_user_id``-style
-  compounds) as id domains, ``_utc``/``_naive`` as datetime kinds.
+* **Seed helpers** — :func:`axis_of` and :func:`unit_of` read a value's
+  coordinate axis (``lat``/``lon``) and unit (``_m``/``_deg``/``_s``...)
+  off the identifier conventions the codebase already follows.  CW101 and
+  CW102 use them per file; they live here so there is exactly one copy of
+  the naming tables.
 
 * **Module summaries** — a per-module, JSON-serializable digest of exactly
-  the facts interprocedural analysis needs: functions with parameter seeds,
-  symbolic call records with per-argument hints, imports, classes, exports,
-  and referenced identifiers.  Summaries depend only on the module's own
-  source, so they cache by content hash (see ``cache.SummaryCache``).
-
-* **Propagation** — :class:`DomainEnv` solves two fixpoints over the
-  resolved call graph: *expected* parameter domains flow **backward** (a
-  parameter that is passed straight through to a ``microcell_id`` parameter
-  is itself expected to be a microcell id), and *return* domains flow
-  **forward** (a function returning a ``user_id`` confers that domain on
-  every call result).  Anything ambiguous collapses to unknown or an
-  explicit conflict sentinel, and neither is ever reported on — the CW6xx
-  rules flag only a *known* actual against a *known, different* expected.
+  the facts the whole-program analyses need: functions (with their class
+  and locally-constructed instances), classes with their bases, symbolic
+  call records, imports and aliases, ``__all__``, and referenced
+  identifiers — plus the thread, exception, and resource facts the CW7xx
+  and CW8xx packs consume.  Summaries depend only on the module's own
+  source, so they cache by content hash (see ``cache.LintCache``) and ship
+  to ``--jobs`` workers as plain data.
 
 Like the rest of ``repro.devtools`` this is stdlib-only and never imports
 the code it analyzes.
@@ -48,42 +22,21 @@ the code it analyzes.
 from __future__ import annotations
 
 import ast
-import json
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from .exceptions import extract_exception_facts
 from .layers import resolve_import
 from .resources import extract_resource_facts
 from .threads import extract_thread_facts
 
-__all__ = [
-    "CONFLICT",
-    "FAMILIES",
-    "DomainEnv",
-    "FunctionRef",
-    "axis_of",
-    "domain_label",
-    "dt_domain_of",
-    "extract_summary",
-    "id_domain_of",
-    "seed_domains",
-    "unit_of",
-]
-
-#: The independent value families tracked per slot.
-FAMILIES = ("axis", "unit", "id", "dt")
-
-#: Sentinel for a slot two propagation sources disagreed about.  A conflict
-#: is never reported (the disagreement usually *is* upstream of the bug the
-#: call-site check already flags) and never propagates further.
-CONFLICT = "<conflict>"
+__all__ = ["axis_of", "extract_summary", "unit_of"]
 
 #: Bumped when the summary JSON schema changes; part of the summary cache key.
-SUMMARY_FORMAT = "3"
+SUMMARY_FORMAT = "4"
 
 
 # ---------------------------------------------------------------------------
-# Seeding: identifier conventions -> domains
+# Seeding: identifier conventions -> axis / unit
 # ---------------------------------------------------------------------------
 
 _LAT_WORDS = {"lat", "lats", "latitude", "latitudes", "phi"}
@@ -103,19 +56,6 @@ _UNIT_SUFFIXES = {
     "sec": "seconds",
     "seconds": "seconds",
     "ms": "milliseconds",
-}
-
-#: ``<owner>_id`` → id domain.  ``cell_id`` counts as a microcell id because
-#: microcells are the only cells in this codebase (paper §5).
-_ID_OWNERS = {
-    "user": "user_id",
-    "users": "user_id",
-    "microcell": "microcell_id",
-    "microcells": "microcell_id",
-    "cell": "microcell_id",
-    "cells": "microcell_id",
-    "item": "item_id",
-    "items": "item_id",
 }
 
 
@@ -152,69 +92,6 @@ def unit_of(name: Optional[str]) -> Optional[str]:
     return _UNIT_SUFFIXES.get(last)
 
 
-def id_domain_of(name: Optional[str]) -> Optional[str]:
-    """The id domain an identifier names, or ``None``.
-
-    ``user_id`` / ``owner_user_id`` / ``user_ids`` → ``user_id``;
-    ``microcell_id`` / ``cell_id`` → ``microcell_id``; ``item_id`` →
-    ``item_id``; ``uid`` → ``user_id``.  A bare ``id``/``ids`` stays unknown.
-    """
-    if not name:
-        return None
-    parts = [part.rstrip("0123456789") for part in name.lower().split("_")]
-    if parts[-1] in {"uid", "uids"}:
-        return "user_id"
-    if parts[-1] not in {"id", "ids"} or len(parts) < 2:
-        return None
-    return _ID_OWNERS.get(parts[-2])
-
-
-def dt_domain_of(name: Optional[str]) -> Optional[str]:
-    """``"aware"`` for ``*_utc``/``*_aware`` names, ``"naive"`` for ``*_naive``."""
-    if not name or "_" not in name:
-        return None
-    last = name.lower().rsplit("_", 1)[1]
-    if last in {"utc", "aware"}:
-        return "aware"
-    if last == "naive":
-        return "naive"
-    return None
-
-
-def seed_domains(name: Optional[str]) -> Dict[str, str]:
-    """Every domain an identifier's name declares, keyed by family."""
-    seeds: Dict[str, str] = {}
-    axis = axis_of(name)
-    if axis:
-        seeds["axis"] = axis
-    unit = unit_of(name)
-    if unit:
-        seeds["unit"] = unit
-    id_domain = id_domain_of(name)
-    if id_domain:
-        seeds["id"] = id_domain
-    dt = dt_domain_of(name)
-    if dt:
-        seeds["dt"] = dt
-    return seeds
-
-
-#: Human-readable spelling of a domain value for finding messages.
-DOMAIN_LABELS = {
-    "lat": "latitude",
-    "lon": "longitude",
-    "user_id": "user id",
-    "microcell_id": "microcell id",
-    "item_id": "item id",
-    "naive": "timezone-naive datetime",
-    "aware": "timezone-aware datetime",
-}
-
-
-def domain_label(value: str) -> str:
-    return DOMAIN_LABELS.get(value, value)
-
-
 # ---------------------------------------------------------------------------
 # Module summaries
 # ---------------------------------------------------------------------------
@@ -227,15 +104,8 @@ def domain_label(value: str) -> str:
 #   ["self", m]           self.m(...) inside a method
 #   ["new", sym, m]       method on a fresh instance:  Cls(...).m(...)
 #
-# Argument / return value hints:
-#   ["param", p]          the enclosing function's parameter p, passed through
-#   ["name", ident]       an identifier whose *name* may seed domains
-#   ["call", sym]         the result of a resolvable call (return domain)
-#   ["const"]             a literal
-#   ["unknown"]           anything else
-#
-# ``offset`` on a call record shifts positional argument mapping (a call
-# through ``functools.partial(f, a, b)`` starts binding at position 2).
+# A call through a locally-built ``functools.partial(f, ...)`` is recorded
+# as a call to ``f``.
 
 _PARTIAL_NAMES = {"partial"}
 
@@ -266,14 +136,15 @@ class _Scope:
 
     def __init__(self, qualname: str, node: Optional[ast.AST]):
         self.qualname = qualname
-        self.positional: List[str] = []
         self.param_names: Set[str] = set()
         if node is not None:
             args = node.args
-            self.positional = [
-                arg.arg for arg in list(getattr(args, "posonlyargs", [])) + list(args.args)
-            ]
-            self.param_names = set(self.positional) | {a.arg for a in args.kwonlyargs}
+            self.param_names = {
+                arg.arg
+                for arg in list(getattr(args, "posonlyargs", []))
+                + list(args.args)
+                + list(args.kwonlyargs)
+            }
         #: var -> RHS expression of its single simple assignment, or None
         #: when the var is rebound (ambiguous — never chased).
         self.assigns: Dict[str, Optional[ast.expr]] = {}
@@ -397,26 +268,14 @@ class _SummaryExtractor:
         line: int,
         class_name: Optional[str] = None,
     ) -> None:
-        info: Dict[str, object] = {
-            "line": line,
-            "positional": scope.positional,
-            "params": {
-                name: seed_domains(name)
-                for name in sorted(scope.param_names)
-            },
-            "returns": [],
-            "ctors": {},
-            "class": class_name,
-        }
+        info: Dict[str, object] = {"line": line, "ctors": {}, "class": class_name}
         for var, value in scope.assigns.items():
             if isinstance(value, ast.Call):
-                sym = self._callee_sym(value, scope)
+                sym = self._expr_sym(value.func, scope)
                 if sym is not None and sym[0] != "partial":
                     info["ctors"][var] = sym  # type: ignore[index]
         for node in _scope_nodes(body):
-            if isinstance(node, ast.Return) and node.value is not None:
-                info["returns"].append(self._value_hint(node.value, scope))  # type: ignore[attr-defined]
-            elif isinstance(node, ast.Call):
+            if isinstance(node, ast.Call):
                 self._record_call(node, scope)
         self.functions[scope.qualname] = info
 
@@ -466,53 +325,17 @@ class _SummaryExtractor:
             else:
                 scope.assigns[target] = value
 
-    # ------------------------------------------------------- calls & hints
+    # ------------------------------------------------------- calls
 
     def _record_call(self, node: ast.Call, scope: _Scope) -> None:
-        offset = 0
         if _is_partial_call(node):
             return  # partial(...) itself constructs, it does not invoke
-        sym = self._callee_sym(node, scope)
+        sym = self._expr_sym(node.func, scope)
         if sym is None:
             return
-        if sym and sym[0] == "partial":
-            # A call through a locally-built functools.partial: unwrap to the
-            # underlying callee and start positional binding past the
-            # pre-bound arguments.
-            _, inner, pre_bound = sym
-            sym, offset = inner, pre_bound
-        args: List[List[object]] = []
-        texts: List[str] = []
-        for arg in node.args:
-            if isinstance(arg, ast.Starred):
-                break  # positional mapping is unknowable past a *splat
-            args.append(self._value_hint(arg, scope))
-            texts.append(_short_text(arg))
-        kwargs: Dict[str, List[object]] = {}
-        kw_texts: Dict[str, str] = {}
-        for keyword in node.keywords:
-            if keyword.arg is None:
-                continue
-            kwargs[keyword.arg] = self._value_hint(keyword.value, scope)
-            kw_texts[keyword.arg] = _short_text(keyword.value)
-        self.calls.append(
-            {
-                "caller": scope.qualname,
-                "callee": sym,
-                "offset": offset,
-                "line": node.lineno,
-                "col": node.col_offset,
-                "args": args,
-                "texts": texts,
-                "kwargs": kwargs,
-                "kw_texts": kw_texts,
-            }
-        )
-
-    def _callee_sym(
-        self, node: ast.Call, scope: _Scope, depth: int = 3
-    ) -> Optional[List[object]]:
-        return self._expr_sym(node.func, scope, depth)
+        if sym[0] == "partial":
+            sym = sym[1]  # a call through a local partial invokes the wrapped callee
+        self.calls.append({"caller": scope.qualname, "callee": sym})
 
     def _expr_sym(
         self, expr: ast.AST, scope: _Scope, depth: int = 3
@@ -528,7 +351,7 @@ class _SummaryExtractor:
                         else None
                     )
                     if inner is not None and inner[0] != "partial":
-                        return ["partial", inner, len(value.args) - 1]
+                        return ["partial", inner]
                 elif isinstance(value, ast.Name):
                     return self._expr_sym(value, scope, depth - 1)
             return ["name", name]
@@ -547,34 +370,6 @@ class _SummaryExtractor:
             return ["dotted", ".".join(chain)]
         return None
 
-    def _value_hint(self, expr: ast.AST, scope: _Scope, depth: int = 3) -> List[object]:
-        while isinstance(expr, ast.UnaryOp):
-            expr = expr.operand
-        if isinstance(expr, ast.Name):
-            name = expr.id
-            if name in scope.param_names:
-                return ["param", name]
-            if seed_domains(name):
-                return ["name", name]
-            value = scope.assigns.get(name)
-            if depth > 0 and value is not None:
-                hint = self._value_hint(value, scope, depth - 1)
-                if hint[0] != "unknown":
-                    return hint
-            return ["name", name]
-        if isinstance(expr, ast.Attribute):
-            return ["name", expr.attr]
-        if isinstance(expr, ast.Call):
-            if _is_partial_call(expr):
-                return ["unknown"]
-            sym = self._callee_sym(expr, scope)
-            if sym is not None and sym[0] != "partial":
-                return ["call", sym]
-            return ["unknown"]
-        if isinstance(expr, ast.Constant):
-            return ["const"]
-        return ["unknown"]
-
 
 def _literal_strings(node: ast.AST) -> Optional[List[str]]:
     if isinstance(node, (ast.List, ast.Tuple)):
@@ -586,208 +381,3 @@ def _literal_strings(node: ast.AST) -> Optional[List[str]]:
                 return None
         return out
     return None
-
-
-def _short_text(node: ast.AST, limit: int = 40) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on parsed trees
-        return "<expr>"
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-# ---------------------------------------------------------------------------
-# Interprocedural propagation
-# ---------------------------------------------------------------------------
-
-#: A function's identity across the project: (module key, qualified name).
-FunctionRef = Tuple[str, str]
-
-
-class DomainEnv:
-    """Expected parameter domains and return domains, solved to a fixpoint.
-
-    ``expected[ref][param][family]`` is the domain a parameter is *required*
-    to carry: its own name seed, or — when the name says nothing — whatever
-    domain the parameter flows into when passed straight through to another
-    call (backward propagation).  ``ret[ref][family]`` is the domain every
-    return path of the function agrees on (forward propagation through
-    ``["call", ...]`` hints).  Both use :data:`CONFLICT` for slots that two
-    sources disagree about; conflicted slots neither report nor propagate.
-    """
-
-    def __init__(self) -> None:
-        self.expected: Dict[FunctionRef, Dict[str, Dict[str, str]]] = {}
-        self.ret: Dict[FunctionRef, Dict[str, str]] = {}
-        self.seeded: Dict[FunctionRef, Dict[str, Set[str]]] = {}
-
-    # -- queries -----------------------------------------------------------
-
-    def expected_domains(self, ref: FunctionRef, param: str) -> Dict[str, str]:
-        slots = self.expected.get(ref, {}).get(param, {})
-        return {family: value for family, value in slots.items() if value != CONFLICT}
-
-    def return_domains(self, ref: FunctionRef) -> Dict[str, str]:
-        return {
-            family: value
-            for family, value in self.ret.get(ref, {}).items()
-            if value != CONFLICT
-        }
-
-    def signature(self, ref: FunctionRef, positional: Sequence[str]) -> str:
-        """A canonical string of everything callers can observe about ``ref``.
-
-        This is the unit of cache invalidation: a dependent module's findings
-        can only change when one of these signatures (or a resolution) does.
-        """
-        payload = {
-            "positional": list(positional),
-            "expected": {
-                param: dict(sorted(slots.items()))
-                for param, slots in sorted(self.expected.get(ref, {}).items())
-            },
-            "ret": dict(sorted(self.ret.get(ref, {}).items())),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    # -- solving -----------------------------------------------------------
-
-    def solve(
-        self,
-        summaries: Dict[str, Dict[str, object]],
-        resolver: Callable[[str, str, List[object]], Optional[Tuple[FunctionRef, bool]]],
-        max_passes: int = 20,
-    ) -> None:
-        """Run both fixpoints.  ``resolver(module_key, caller, sym)`` returns
-        ``(ref, bound)`` — ``bound`` meaning the first positional parameter is
-        an implicit ``self`` — or ``None`` when the callee cannot be pinned.
-        """
-        for module_key in sorted(summaries):
-            for qualname, info in summaries[module_key]["functions"].items():  # type: ignore[union-attr]
-                if qualname == "<module>":
-                    continue
-                ref = (module_key, qualname)
-                params: Dict[str, Dict[str, str]] = {}
-                seeded: Dict[str, Set[str]] = {}
-                for param, seeds in info["params"].items():  # type: ignore[index]
-                    params[param] = dict(seeds)
-                    seeded[param] = set(seeds)
-                self.expected[ref] = params
-                self.seeded[ref] = seeded
-                self.ret[ref] = {}
-
-        for _ in range(max_passes):
-            changed = self._propagate_expected(summaries, resolver)
-            changed |= self._propagate_returns(summaries, resolver)
-            if not changed:
-                break
-
-    def _iter_bound_args(
-        self,
-        summaries: Dict[str, Dict[str, object]],
-        resolver: Callable[..., Optional[Tuple[FunctionRef, bool]]],
-    ) -> Iterator[Tuple[str, Dict[str, object], FunctionRef, str, List[object]]]:
-        """(module, call, callee ref, bound param name, hint) per mapped arg."""
-        for module_key in sorted(summaries):
-            for call in summaries[module_key]["calls"]:  # type: ignore[index]
-                resolved = resolver(module_key, call["caller"], call["callee"])
-                if resolved is None:
-                    continue
-                ref, bound = resolved
-                info = summaries[ref[0]]["functions"].get(ref[1])  # type: ignore[index]
-                if info is None:
-                    continue
-                positional = list(info["positional"])
-                if bound and positional:
-                    positional = positional[1:]
-                base = int(call["offset"])
-                for index, hint in enumerate(call["args"]):
-                    slot = base + index
-                    if slot >= len(positional):
-                        break
-                    yield module_key, call, ref, positional[slot], hint
-                for kw_name, hint in sorted(call["kwargs"].items()):
-                    if kw_name in info["params"]:
-                        yield module_key, call, ref, kw_name, hint
-
-    def _propagate_expected(
-        self,
-        summaries: Dict[str, Dict[str, object]],
-        resolver: Callable[..., Optional[Tuple[FunctionRef, bool]]],
-    ) -> bool:
-        changed = False
-        for module_key, call, ref, param, hint in self._iter_bound_args(
-            summaries, resolver
-        ):
-            if hint[0] != "param" or call["caller"] == "<module>":
-                continue
-            src = (module_key, call["caller"])
-            src_slots = self.expected.get(src, {}).get(hint[1])
-            if src_slots is None:
-                continue
-            seeded = self.seeded.get(src, {}).get(hint[1], set())
-            for family, value in self.expected_domains(ref, param).items():
-                if family in seeded:
-                    continue  # the seed is authoritative; call-site check compares
-                current = src_slots.get(family)
-                if current is None:
-                    src_slots[family] = value
-                    changed = True
-                elif current not in (value, CONFLICT):
-                    src_slots[family] = CONFLICT
-                    changed = True
-        return changed
-
-    def _propagate_returns(
-        self,
-        summaries: Dict[str, Dict[str, object]],
-        resolver: Callable[..., Optional[Tuple[FunctionRef, bool]]],
-    ) -> bool:
-        changed = False
-        for module_key in sorted(summaries):
-            for qualname, info in summaries[module_key]["functions"].items():  # type: ignore[union-attr]
-                if qualname == "<module>":
-                    continue
-                ref = (module_key, qualname)
-                hints: List[List[object]] = info["returns"]  # type: ignore[assignment]
-                if not hints:
-                    continue
-                combined: Optional[Dict[str, str]] = None
-                for hint in hints:
-                    domains = self.hint_domains(module_key, qualname, hint, resolver)
-                    if domains is None:
-                        combined = {}
-                        break
-                    if combined is None:
-                        combined = dict(domains)
-                    else:
-                        combined = {
-                            family: value
-                            for family, value in combined.items()
-                            if domains.get(family) == value
-                        }
-                combined = combined or {}
-                if combined != self.ret.get(ref, {}):
-                    self.ret[ref] = combined
-                    changed = True
-        return changed
-
-    def hint_domains(
-        self,
-        module_key: str,
-        caller: str,
-        hint: List[object],
-        resolver: Callable[..., Optional[Tuple[FunctionRef, bool]]],
-    ) -> Optional[Dict[str, str]]:
-        """The known domains a value hint carries, or ``None`` for unknown."""
-        kind = hint[0]
-        if kind == "name":
-            return seed_domains(hint[1]) or None  # type: ignore[arg-type]
-        if kind == "param":
-            return self.expected_domains((module_key, caller), hint[1]) or None  # type: ignore[arg-type]
-        if kind == "call":
-            resolved = resolver(module_key, caller, hint[1])
-            if resolved is None:
-                return None
-            return self.return_domains(resolved[0]) or None
-        return None

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ast
 import concurrent.futures
+import errno
 import io
 import re
 import tokenize
@@ -413,7 +414,8 @@ class LintEngine:
         with the :class:`repro.devtools.cache.LintCache` interface; hits
         skip parsing and analysis entirely.  Either way the result is the
         same sorted finding list, and :attr:`last_stats` records how much
-        work was actually done.
+        work was actually done.  A path that does not exist raises
+        :class:`FileNotFoundError` rather than linting nothing.
 
         When a selected rule declares ``requires_project``, every file is
         read up front and a whole-program :class:`~repro.devtools.callgraph.
@@ -522,7 +524,7 @@ _POOL_PROJECT = None
 
 
 def _init_pool_worker(project_data: Optional[Dict[str, object]]) -> None:
-    """Pool initializer: rehydrate the solved project analysis once per worker."""
+    """Pool initializer: rehydrate the project analysis once per worker."""
     global _POOL_PROJECT
     if project_data is None:
         _POOL_PROJECT = None
@@ -544,10 +546,16 @@ _SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "build", "dist", ".venv", 
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterable[Path]:
-    """Yield ``.py`` files under ``paths`` in sorted order, skipping caches."""
+    """Yield ``.py`` files under ``paths`` in sorted order, skipping caches.
+
+    Raises :class:`FileNotFoundError` for a path that does not exist: a
+    mistyped path must fail loudly, not lint nothing and pass.
+    """
     seen: Set[Path] = set()
     for path in paths:
         path = Path(path)
+        if not path.exists():
+            raise FileNotFoundError(errno.ENOENT, "no such path", str(path))
         if path.is_file():
             candidates = [path] if path.suffix == ".py" else []
         else:

@@ -4,7 +4,7 @@ Per-function *may-raise* summaries computed to fixpoint over the existing
 whole-program call graph:
 
 1. **Fact extraction.**  Per-module *exception facts* ride inside the
-   domain summaries (same content-addressed cache, same ``--jobs``
+   module summaries (same content-addressed cache, same ``--jobs``
    shipping): every explicit ``raise`` site, every call expression in the
    callgraph's symbolic-callee vocabulary, and every ``except`` handler —
    each annotated with the ordered stack of handlers lexically guarding
@@ -340,12 +340,12 @@ class _ExcWalker:
 class ExceptionAnalysis:
     """Interprocedural may-raise sets and the CW803 swallow records.
 
-    Built from the per-module exception facts riding inside the domain
+    Built from the per-module exception facts riding inside the module
     summaries plus the project's symbolic-call resolver; everything here
     is derived data, so rehydrated worker projects rebuild it on demand.
     """
 
-    _MAX_PASSES = 30  # fixpoint bound, like the domain/entry-lock fixpoints
+    _MAX_PASSES = 30  # fixpoint bound, like the entry-lock fixpoint
 
     def __init__(
         self,

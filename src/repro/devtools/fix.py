@@ -109,7 +109,7 @@ def fix_source(
     """Lint → patch → re-lint to a fixpoint.  Never returns broken syntax.
 
     ``seed_findings`` extends the first pass with findings the single-file
-    lint cannot reproduce — project-scoped rules like CW703, whose fixes
+    lint cannot reproduce — project-scoped rules like CW802, whose fixes
     were computed by a whole-program run.  Their spans are only valid
     against the original source, so they never carry into later passes;
     duplicates of single-file findings are dropped by the overlap filter.

@@ -40,7 +40,6 @@ ROOT_PACKAGE = "repro"
 #: catalog, and the layer isolation check all walk this list.
 DEVTOOLS_MODULES: FrozenSet[str] = frozenset(
     {
-        "baseline",
         "cache",
         "callgraph",
         "cli",
@@ -60,7 +59,6 @@ DEVTOOLS_MODULES: FrozenSet[str] = frozenset(
         "rules.determinism",
         "rules.exceptions",
         "rules.exports",
-        "rules.iddomains",
         "rules.imports",
         "rules.lifecycle",
         "rules.mutable_defaults",
@@ -69,7 +67,6 @@ DEVTOOLS_MODULES: FrozenSet[str] = frozenset(
         "rules.threadsafety",
         "rules.units",
         "resources",
-        "sarif",
         "threads",
     }
 )

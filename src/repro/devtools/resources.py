@@ -1,12 +1,12 @@
-"""Resource-lifetime + cache-coherence analysis (crowdlint v5, stages 2+3).
+"""Resource-lifetime analysis (crowdlint v5, stage 2).
 
-Stage 2 — **resource lifetimes**.  Per-function facts record every
-acquisition site (``open``/``socket``/``HTTPConnection``/executor
-constructors assigned to a plain name, ``X.acquire()`` lock statements,
-``tracemalloc.start()``, ``TemporaryDirectory``), then track each one
-lexically to its release (``close``/``release``/``shutdown``/``cleanup``/
-``os.close``/``tracemalloc.stop``).  A ``with`` acquisition is managed and
-never recorded; a token that *escapes* (returned, yielded, stored into a
+Per-function facts record every acquisition site (``open``/``socket``/
+``HTTPConnection``/executor constructors assigned to a plain name,
+``X.acquire()`` lock statements, ``tracemalloc.start()``,
+``TemporaryDirectory``), then track each one lexically to its release
+(``close``/``release``/``shutdown``/``cleanup``/``os.close``/
+``tracemalloc.stop``).  A ``with`` acquisition is managed and never
+recorded; a token that *escapes* (returned, yielded, stored into a
 container/attribute, aliased, or passed to another function) transfers
 ownership and is skipped — the analysis only judges provably-local
 lifetimes, which is what keeps it at zero false positives.  For the rest:
@@ -16,19 +16,6 @@ lifetimes, which is what keeps it at zero false positives.  For the rest:
   path if an intervening unguarded call **may raise** per the
   interprocedural fixpoint of :mod:`repro.devtools.exceptions`, or on an
   early ``return``/``raise`` between acquire and release.
-
-Stage 3 — **cache coherence**, specialized to ``repro.web.cache``.  A
-*serving class* is any class whose ``__init__`` stores a
-``ResponseCache(...)`` in an attribute; its other ``__init__``-assigned
-attributes are the *served pipeline state*.  Every mutation of served
-state outside the constructor must be followed (lexically, in the same
-method) by an ``invalidate()``/``clear()`` on the cache attribute —
-otherwise handlers keep serving stale generations (CW805).  And no
-handler-domain code may bypass the cache API by touching its private
-internals (``x.cache._entries`` …) — reads must go through
-``lookup``/``store``/``stats`` (CW806, using the thread-domain
-propagation of :mod:`repro.devtools.threads` to know what is
-handler-reachable).
 
 The atomic-persistence protocol (CW804) is checked per function: code
 that stages through ``tempfile.mkstemp`` and publishes with
@@ -48,21 +35,15 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .threads import (
-    DOMAIN_HANDLER,
-    _attr_chain,
-    _call_sym,
-    _last_name,
-    _scoped_statements,
-)
+from .threads import _attr_chain, _call_sym, _last_name, _scoped_statements
 
 __all__ = ["extract_resource_facts", "LifecycleAnalysis"]
 
 #: Bumped when the resource-fact schema changes (the summary cache and the
 #: ruleset fingerprint already invalidate stale entries; belt-and-braces).
-RESOURCE_FORMAT = "1"
+RESOURCE_FORMAT = "2"
 
 #: Constructor last-name → resource kind for plain-name assignments.
 _CTOR_KINDS: Dict[str, str] = {
@@ -78,54 +59,23 @@ _CTOR_KINDS: Dict[str, str] = {
     "NamedTemporaryFile": "file",
 }
 
-#: Method names that release each kind.
-_RELEASERS: Dict[str, frozenset] = {
-    "file": frozenset({"close"}),
-    "socket": frozenset({"close", "shutdown"}),
-    "connection": frozenset({"close"}),
-    "executor": frozenset({"shutdown"}),
-    "tempdir": frozenset({"cleanup"}),
-    "trace": frozenset(),  # released by tracemalloc.stop(), matched specially
-    "lock": frozenset({"release"}),
-}
-
-#: Container/attribute mutators that count as serving-state mutations.
-_MUTATORS = frozenset(
-    {"update", "append", "extend", "add", "insert", "clear", "pop", "popitem",
-     "remove", "discard", "setdefault"}
-)
-
-#: Cache methods that bump the generation / drop stale entries.
-_BUMPERS = frozenset({"invalidate", "clear"})
-
-#: The class whose instances mark a serving class when stored in __init__.
-_CACHE_CLASS = "ResponseCache"
-
-Node = Tuple[str, str]  # (module_key, qualname)
-
 
 # --------------------------------------------------------------------------
-# extraction: one module's resource + coherence facts as plain JSON data
+# extraction: one module's resource facts as plain JSON data
 # --------------------------------------------------------------------------
 
 def extract_resource_facts(tree: ast.Module) -> Dict[str, object]:
-    """One module's resource-lifetime and cache-coherence facts."""
-    facts: Dict[str, object] = {
-        "format": RESOURCE_FORMAT,
-        "functions": {},
-        "coherence": _coherence_facts(tree),
-    }
-    recorder = _ResRecorder(facts["functions"], facts["coherence"])  # type: ignore[arg-type]
-    recorder.walk_definitions(tree.body, prefix="")
-    return facts
+    """One module's resource-lifetime facts."""
+    functions: Dict[str, Dict[str, object]] = {}
+    _ResRecorder(functions).walk_definitions(tree.body, prefix="")
+    return {"format": RESOURCE_FORMAT, "functions": functions}
 
 
 class _ResRecorder:
     """One record per function: acquisitions tracked to their releases."""
 
-    def __init__(self, functions: Dict[str, Dict[str, object]], coherence: Dict[str, object]):
+    def __init__(self, functions: Dict[str, Dict[str, object]]):
         self.functions = functions
-        self.coherence = coherence
 
     def walk_definitions(self, body: Sequence[ast.stmt], prefix: str) -> None:
         for stmt in body:
@@ -140,7 +90,6 @@ class _ResRecorder:
         walker.walk(fn.body, walker.new_block(), guarded=False,  # type: ignore[attr-defined]
                     in_finally=False, in_cleanup=False)
         self.functions[qualname] = walker.finish(fn)
-        _ReadScanner.scan(fn, qualname, self.coherence["reads"])  # type: ignore[arg-type]
 
 
 class _ResWalker:
@@ -481,198 +430,31 @@ class _ResWalker:
         return out
 
 
-# -- coherence facts (module-level class scan) ------------------------------
-
-def _coherence_facts(tree: ast.Module) -> Dict[str, object]:
-    facts: Dict[str, object] = {
-        "classes": {},
-        "mutations": [],
-        "reads": [],
-        "defines_cache_class": False,
-    }
-    _scan_coherence_classes(tree.body, "", facts)
-    return facts
-
-
-def _scan_coherence_classes(
-    body: Sequence[ast.stmt], prefix: str, facts: Dict[str, object]
-) -> None:
-    for stmt in body:
-        if not isinstance(stmt, ast.ClassDef):
-            continue
-        path = prefix + stmt.name
-        if stmt.name == _CACHE_CLASS:
-            facts["defines_cache_class"] = True
-        cache_attr, state = _ctor_attrs(stmt)
-        if cache_attr is not None:
-            facts["classes"][path] = {"cache": cache_attr, "state": sorted(state)}  # type: ignore[index]
-            _scan_mutations(stmt, path, cache_attr, state, facts)
-        _scan_coherence_classes(stmt.body, path + ".", facts)
-
-
-def _self_attr_target(expr: ast.AST) -> Optional[str]:
-    if (
-        isinstance(expr, ast.Attribute)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == "self"
-    ):
-        return expr.attr
-    return None
-
-
-def _ctor_attrs(cls: ast.ClassDef) -> Tuple[Optional[str], Set[str]]:
-    """(cache attribute, other ``self.X = ...`` attrs) from ``__init__``."""
-    cache_attr: Optional[str] = None
-    state: Set[str] = set()
-    for stmt in cls.body:
-        if not (isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"):
-            continue
-        for node in _scoped_statements(stmt):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                attr = _self_attr_target(target)
-                if attr is None:
-                    continue
-                if (
-                    isinstance(node.value, ast.Call)
-                    and _last_name(node.value.func) == _CACHE_CLASS
-                ):
-                    cache_attr = attr
-                else:
-                    state.add(attr)
-    state.discard(cache_attr or "")
-    return cache_attr, state
-
-
-def _scan_mutations(
-    cls: ast.ClassDef,
-    path: str,
-    cache_attr: str,
-    state: Set[str],
-    facts: Dict[str, object],
-) -> None:
-    for stmt in cls.body:
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if stmt.name == "__init__":
-            continue
-        qualname = f"{path}.{stmt.name}"
-        mutations: List[Dict[str, object]] = []
-        bumps: List[int] = []
-        for node in _scoped_statements(stmt):
-            mutated = _mutated_state_attr(node, state)
-            if mutated is not None:
-                attr, line, col = mutated
-                mutations.append(
-                    {"class": path, "attr": attr, "func": qualname,
-                     "line": line, "col": col}
-                )
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _BUMPERS
-            ):
-                receiver = _self_attr_target(node.func.value)
-                if receiver == cache_attr:
-                    bumps.append(node.lineno)
-        for mutation in mutations:
-            mutation["bumped"] = any(b > int(mutation["line"]) for b in bumps)
-            facts["mutations"].append(mutation)  # type: ignore[union-attr]
-
-
-def _mutated_state_attr(
-    node: ast.AST, state: Set[str]
-) -> Optional[Tuple[str, int, int]]:
-    """``self.X = ...`` / ``self.X[k] = ...`` / ``self.X.update(...)`` sites."""
-    if isinstance(node, (ast.Assign, ast.AugAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        for target in targets:
-            if isinstance(target, ast.Subscript):
-                target = target.value
-            attr = _self_attr_target(target)
-            if attr is not None and attr in state:
-                return attr, node.lineno, node.col_offset
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in _MUTATORS
-    ):
-        attr = _self_attr_target(node.func.value)
-        if attr is not None and attr in state:
-            return attr, node.lineno, node.col_offset
-    return None
-
-
-class _ReadScanner:
-    """Collect ``<recv>.<cache_attr>._private`` bypass reads per function."""
-
-    @staticmethod
-    def scan(fn: ast.AST, qualname: str, reads: List[Dict[str, object]]) -> None:
-        for node in _scoped_statements(fn):
-            if not isinstance(node, ast.Attribute):
-                continue
-            if not node.attr.startswith("_") or node.attr.startswith("__"):
-                continue
-            value = node.value
-            receiver: Optional[str] = None
-            if isinstance(value, ast.Attribute):
-                receiver = value.attr
-            elif isinstance(value, ast.Name):
-                receiver = value.id
-            if receiver is None or receiver == "self":
-                continue
-            reads.append(
-                {"func": qualname, "recv": receiver, "attr": node.attr,
-                 "line": node.lineno, "col": node.col_offset}
-            )
-
-
 # --------------------------------------------------------------------------
 # whole-program analysis: lifetimes judged with exception edges
 # --------------------------------------------------------------------------
 
 class LifecycleAnalysis:
-    """CW801/802/804/805/806 records from the per-module resource facts.
+    """CW801/802/804 records from the per-module resource facts.
 
     Exception edges come from :class:`~repro.devtools.exceptions.\
-ExceptionAnalysis` (is the leak path reachable?), handler-domain
-    membership from :class:`~repro.devtools.threads.ThreadAnalysis`
-    (is the bypass read served concurrently?).
+ExceptionAnalysis`: a release is skippable only on a path the may-raise
+    fixpoint proves reachable.
     """
 
     def __init__(
-        self,
-        summaries: Dict[str, Dict[str, object]],
-        resolver: Callable[[str, str, Sequence[object]], Optional[Tuple[Tuple[str, str], bool]]],
-        exceptions: "ExceptionAnalysis",
-        threads: "ThreadAnalysis",
+        self, summaries: Dict[str, Dict[str, object]], exceptions: "ExceptionAnalysis"
     ):
         self.summaries = summaries
-        self._resolve = resolver
         self.exceptions = exceptions
-        self.threads = threads
         self._records: Dict[str, List[Dict[str, object]]] = {}
-        self._cache_attrs: Set[str] = set()
         self._build()
-
-    def _facts(self, module_key: str) -> Dict[str, object]:
-        summary = self.summaries.get(module_key) or {}
-        facts = summary.get("resources")
-        if not isinstance(facts, dict):
-            return {"functions": {}, "coherence": {}}
-        return facts
 
     def _build(self) -> None:
         for module_key in sorted(self.summaries):
-            coherence = self._facts(module_key).get("coherence") or {}
-            for info in coherence.get("classes", {}).values():  # type: ignore[union-attr]
-                self._cache_attrs.add(str(info["cache"]))
-        for module_key in sorted(self.summaries):
-            facts = self._facts(module_key)
-            for qualname, record in sorted(facts.get("functions", {}).items()):  # type: ignore[union-attr]
+            facts = (self.summaries[module_key].get("resources") or {}).get("functions", {})
+            for qualname, record in sorted(facts.items()):  # type: ignore[union-attr]
                 self._judge_function(module_key, qualname, record)
-            self._judge_coherence(module_key, facts.get("coherence") or {})
         for records in self._records.values():
             records.sort(key=lambda r: (r["line"], r["col"], r["rule"]))
 
@@ -781,46 +563,10 @@ ExceptionAnalysis` (is the leak path reachable?), handler-domain
                     },
                 )
 
-    # -- coherence ---------------------------------------------------------
-
-    def _judge_coherence(self, module_key: str, coherence: Dict[str, object]) -> None:
-        for mutation in coherence.get("mutations", []):  # type: ignore[union-attr]
-            if mutation.get("bumped"):
-                continue
-            self._emit(
-                module_key,
-                {
-                    "rule": "CW805",
-                    "line": int(mutation["line"]),
-                    "col": int(mutation["col"]),
-                    "attr": mutation["attr"],
-                    "func": mutation["func"],
-                    "class": mutation["class"],
-                },
-            )
-        if coherence.get("defines_cache_class"):
-            return  # the cache implementation touches its own internals
-        for read in coherence.get("reads", []):  # type: ignore[union-attr]
-            if read["recv"] not in self._cache_attrs:
-                continue
-            node = (module_key, str(read["func"]))
-            if DOMAIN_HANDLER not in self.threads.domains.get(node, set()):
-                continue
-            self._emit(
-                module_key,
-                {
-                    "rule": "CW806",
-                    "line": int(read["line"]),
-                    "col": int(read["col"]),
-                    "attr": f"{read['recv']}.{read['attr']}",
-                    "func": read["func"],
-                },
-            )
-
     # -- results -----------------------------------------------------------
 
     def records_for(self, module_key: str) -> List[Dict[str, object]]:
-        """The CW801/802/804/805/806 finding records anchored in one module."""
+        """The CW801/802/804 finding records anchored in one module."""
         return self._records.get(module_key, [])
 
     def dep_digest(self, module_key: str) -> str:

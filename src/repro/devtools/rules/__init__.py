@@ -11,7 +11,6 @@ from . import (  # noqa: F401  (imported for registration side effects)
     determinism,
     exceptions,
     exports,
-    iddomains,
     imports,
     lifecycle,
     mutable_defaults,

@@ -1,10 +1,9 @@
 """Shared AST helpers for the crowdlint rules (identifier/unit parsing).
 
-The identifier-classification tables (axis words, unit suffixes, id-domain
-owners) live in :mod:`repro.devtools.domains` — the interprocedural layer
-and the per-file rules must agree on what a name means, so there is exactly
-one copy.  This module re-exports the classifiers alongside the small AST
-conveniences the rule packs share.
+The identifier-classification tables (axis words, unit suffixes) live in
+:mod:`repro.devtools.domains` next to the module summaries, so there is
+exactly one copy.  This module re-exports the classifiers alongside the
+small AST conveniences the rule packs share.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Optional
 
 from ..domains import axis_of, unit_of  # noqa: F401  (re-exported)
 
-__all__ = ["identifier_of", "callee_name", "axis_of", "unit_of"]
+__all__ = ["anchor", "identifier_of", "callee_name", "axis_of", "unit_of"]
 
 
 def identifier_of(node: ast.AST) -> Optional[str]:
@@ -32,3 +31,15 @@ def identifier_of(node: ast.AST) -> Optional[str]:
 def callee_name(node: ast.Call) -> Optional[str]:
     """The simple name a call dispatches to (``f(...)`` or ``mod.f(...)``)."""
     return identifier_of(node.func)
+
+
+def anchor(line: int, col: int) -> ast.AST:
+    """A location-only node, so project rules can report a record's site.
+
+    Pragma suppression keys on the reported line, so it works on these
+    findings exactly as on node-anchored ones.
+    """
+    node = ast.Pass()
+    node.lineno = line
+    node.col_offset = col
+    return node

@@ -1,6 +1,7 @@
-"""CW105: ``__all__`` export drift.
+"""CW105 ``__all__`` export drift and CW604 dead exports.
 
-Two directions of drift, both real failure modes for a package this size:
+CW105 checks one file.  Two directions of drift, both real failure modes
+for a package this size:
 
 * a name listed in ``__all__`` that is not bound at module top level breaks
   ``from package import *`` and lies to readers about the public surface;
@@ -10,6 +11,11 @@ Two directions of drift, both real failure modes for a package this size:
 
 Modules without ``__all__`` are skipped — the rule enforces consistency where
 the author opted into an explicit export list, it does not mandate one.
+
+CW604 is the whole-program half: an ``__all__`` entry that no other module
+references, imports, or calls is dead public surface.  It reads
+:meth:`~repro.devtools.callgraph.ProjectAnalysis.dead_exports`;
+``__init__.py`` re-export hubs and ``_``-prefixed names are exempt.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import ast
 from typing import List, Optional, Set, Tuple
 
 from ..engine import FileContext, Rule, register
+from .common import anchor
 
 
 def _all_names(tree: ast.Module) -> Optional[Tuple[ast.AST, List[str]]]:
@@ -121,4 +128,26 @@ class ExportDriftRule(Rule):
                 self,
                 all_node,
                 f"public name {name!r} is defined but missing from __all__",
+            )
+
+
+@register
+class DeadExportRule(Rule):
+    id = "CW604"
+    name = "dead-export"
+    description = (
+        "An __all__ entry no other module references, imports, or calls: "
+        "dead public surface the call graph proves unreachable from outside."
+    )
+    requires_project = True
+
+    def check_module(self, ctx: FileContext) -> None:
+        if ctx.project is None:
+            return
+        for record in ctx.project.dead_exports(ctx.module_key):
+            ctx.report(
+                self,
+                anchor(record["line"], 0),
+                f"{record['name']!r} is exported in __all__ but nothing else "
+                "in the project references it; drop the export or the symbol",
             )

@@ -1,12 +1,11 @@
-"""CW8xx — the exception-flow / resource-lifetime / cache-coherence pack.
+"""CW8xx — the exception-flow / resource-lifetime pack.
 
 These rules consume two whole-program views built over the project call
 graph: :class:`~repro.devtools.exceptions.ExceptionAnalysis` (per-function
 may-raise sets computed to fixpoint with handler subsumption) and
 :class:`~repro.devtools.resources.LifecycleAnalysis` (acquisition sites
 tracked to their releases, with the exception edges deciding whether a
-leak path is actually reachable, plus the ``repro.web.cache`` coherence
-contract).  They report:
+leak path is actually reachable).  They report:
 
 * **CW801** — a locally-owned resource (file, socket, connection,
   executor, tempdir, tracemalloc) that is never released, or whose
@@ -22,19 +21,13 @@ contract).  They report:
 * **CW804** — the atomic-persistence protocol (``mkstemp`` → write →
   ``fsync`` → ``os.replace``) attempted without the fsync or without
   unlinking the staged temp file on failure.
-* **CW805** — served pipeline state mutated outside the constructor
-  without a following cache ``invalidate()``: handlers keep serving the
-  previous generation forever.
-* **CW806** — handler-domain code bypassing the cache API by reading the
-  cache's private internals directly.
 
 Anything the analyses cannot prove — an escaped handle, an unresolved
 callee, an unknown receiver — produces no finding: zero false positives
 is the design budget, enforced by the clean-twin fixtures in the tests.
 
-Severity is ``error`` in the layers where a leak or stale generation
-corrupts the serving path (``web``, ``exec``, ``persistence``) and
-``warning`` elsewhere.
+Severity is ``error`` in the layers where a leak corrupts the serving
+path (``web``, ``exec``, ``persistence``) and ``warning`` elsewhere.
 """
 
 from __future__ import annotations
@@ -43,9 +36,9 @@ from typing import Dict, List, Optional
 
 from ..engine import Edit, FileContext, Fix, Rule, register
 from ..layers import layer_of
-from .threadsafety import _anchor
+from .common import anchor
 
-#: Layers where a leaked handle or stale cache corrupts served output.
+#: Layers where a leaked handle corrupts served output.
 _ERROR_LAYERS = frozenset({"web", "exec", "persistence"})
 
 
@@ -80,7 +73,7 @@ class LeakedResourceRule(Rule):
         for record in _lifecycle_records(ctx, self.id):
             ctx.report(
                 self,
-                _anchor(record["line"], record["col"]),
+                anchor(record["line"], record["col"]),
                 f"in {record['func']}(): {record['reason']} — manage it "
                 "with a `with` block or release it in a `finally`",
                 severity=_severity(ctx),
@@ -110,7 +103,7 @@ class UnguardedLockReleaseRule(Rule):
             )
             ctx.report(
                 self,
-                _anchor(record["line"], record["col"]),
+                anchor(record["line"], record["col"]),
                 f"in {record['func']}(): {record['reason']} — {hint}",
                 fix=fix,
                 severity=_severity(ctx),
@@ -170,7 +163,7 @@ class SwallowedPropagationRule(Rule):
             types = ", ".join(record["types"])  # type: ignore[arg-type]
             ctx.report(
                 self,
-                _anchor(record["line"], record["col"]),
+                anchor(record["line"], record["col"]),
                 f"`except {caught}` in {record['func']}() silently swallows "
                 f"{types} propagated from project code — narrow the catch, "
                 "re-raise, or record the exception",
@@ -193,58 +186,9 @@ class AtomicPersistenceRule(Rule):
         for record in _lifecycle_records(ctx, self.id):
             ctx.report(
                 self,
-                _anchor(record["line"], record["col"]),
+                anchor(record["line"], record["col"]),
                 f"in {record['func']}(): {record['reason']} — follow the "
                 "mkstemp -> write -> flush+fsync -> os.replace protocol "
                 "with an except/finally unlink",
-                severity=_severity(ctx),
-            )
-
-
-@register
-class StaleCacheMutationRule(Rule):
-    id = "CW805"
-    name = "mutation-without-invalidation"
-    description = (
-        "Served pipeline state (an attribute set up alongside a "
-        "ResponseCache in the constructor) is mutated outside the "
-        "constructor with no following cache invalidate(): handlers keep "
-        "serving the stale generation."
-    )
-    requires_project = True
-
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _lifecycle_records(ctx, self.id):
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"{record['class']}.{record['attr']} is mutated in "
-                f"{record['func']}() without a following cache "
-                "invalidate() — bump the generation so handlers stop "
-                "serving stale responses",
-                severity=_severity(ctx),
-            )
-
-
-@register
-class CacheBypassRule(Rule):
-    id = "CW806"
-    name = "cache-bypass-from-handler"
-    description = (
-        "Handler-domain code reads the response cache's private internals "
-        "(_entries, _generation, ...) directly instead of going through "
-        "the cache API (lookup/store/stats/info)."
-    )
-    requires_project = True
-
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _lifecycle_records(ctx, self.id):
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"handler-reachable {record['func']}() reads "
-                f"{record['attr']} directly — the cache's internals are "
-                "guarded by its own lock and generation; use the public "
-                "cache API",
                 severity=_severity(ctx),
             )

@@ -11,22 +11,12 @@ graph — and report:
 * **CW702** — a write to shared state that *is* majority-guarded by one
   lock, at a site where that lock is not held: guarded on some paths, bare
   on others.
-* **CW703** — check-then-act on a shared container (``if k in d: … d[k]``)
-  outside any lock: the membership test and the access are not atomic.
-  The exact ``if k not in d: d[k] = v`` shape carries a mechanical
-  ``d.setdefault(k, v)`` autofix; anything else suggests widening a lock.
-* **CW704** — two locks acquired in opposite orders on different call
-  paths: the classic ABBA deadlock shape.
-* **CW705** — a blocking call (sleep, subprocess, sockets, file IO) while
-  holding a lock on a thread-reachable path: every peer queueing on that
-  lock stalls behind the IO.
 
-Findings anchor on **writes** (plus the CW703 check site); bare reads of a
-published reference are idiomatic under the GIL and stay silent.  Anything
-the analysis cannot resolve — an unknown call target, an opaque lock
-expression, an attribute on a non-``self`` root — produces no finding:
-zero false positives is the design budget, enforced by the clean-twin
-fixtures in the tests.
+Findings anchor on **writes**; bare reads of a published reference are
+idiomatic under the GIL and stay silent.  Anything the analysis cannot
+resolve — an unknown call target, an opaque lock expression, an attribute
+on a non-``self`` root — produces no finding: zero false positives is the
+design budget, enforced by the clean-twin fixtures in the tests.
 
 Severity is ``error`` in the layers that actually run concurrent code
 (``web``, ``obs``, ``exec``) and ``warning`` elsewhere.
@@ -34,22 +24,14 @@ Severity is ``error`` in the layers that actually run concurrent code
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..engine import Edit, FileContext, Fix, Rule, register
+from ..engine import FileContext, Rule, register
 from ..layers import layer_of
+from .common import anchor
 
 #: Layers whose code runs on the serving path — findings there are errors.
 _CONCURRENT_LAYERS = frozenset({"web", "obs", "exec"})
-
-
-def _anchor(line: int, col: int) -> ast.AST:
-    """A location-only node so pragma suppression works on record findings."""
-    node = ast.Pass()
-    node.lineno = line
-    node.col_offset = col
-    return node
 
 
 def _severity(ctx: FileContext) -> str:
@@ -83,7 +65,7 @@ class UnguardedSharedWriteRule(Rule):
             domains = ", ".join(record["domains"])  # type: ignore[arg-type]
             ctx.report(
                 self,
-                _anchor(record["line"], record["col"]),
+                anchor(record["line"], record["col"]),
                 f"unguarded write to {record['symbol']} in "
                 f"{record['function']}() — the symbol is reached from "
                 f"concurrency domains [{domains}] and no write ever holds a "
@@ -107,106 +89,9 @@ class InconsistentlyGuardedWriteRule(Rule):
         for record in _records_for(ctx, self.id):
             ctx.report(
                 self,
-                _anchor(record["line"], record["col"]),
+                anchor(record["line"], record["col"]),
                 f"write to {record['symbol']} in {record['function']}() "
                 f"without {record['guard']}, the lock inferred to guard it "
                 "from its other writes — take the same lock here",
-                severity=_severity(ctx),
-            )
-
-
-@register
-class CheckThenActRule(Rule):
-    id = "CW703"
-    name = "shared-check-then-act"
-    description = (
-        "A membership test on a shared container followed by a keyed access "
-        "inside the branch, outside any lock: another thread can change the "
-        "container between the check and the act.  The `if k not in d: "
-        "d[k] = v` shape autofixes to `d.setdefault(k, v)`."
-    )
-    requires_project = True
-    fixable = True
-
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _records_for(ctx, self.id):
-            fix = self._build_fix(ctx, record.get("fix"))
-            hint = (
-                "apply the setdefault rewrite"
-                if fix is not None
-                else "widen the guarding lock over the whole check-then-act"
-            )
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"check-then-act on shared container {record['symbol']} in "
-                f"{record['function']}() is not atomic without a lock — "
-                f"{hint}",
-                fix=fix,
-                severity=_severity(ctx),
-            )
-
-    @staticmethod
-    def _build_fix(ctx: FileContext, raw: Optional[Dict[str, object]]) -> Optional[Fix]:
-        if not raw:
-            return None
-        try:
-            start = ctx.offset(int(raw["l1"]), int(raw["c1"]))
-            end = ctx.offset(int(raw["l2"]), int(raw["c2"]))
-        except (KeyError, IndexError, TypeError, ValueError):
-            return None
-        replacement = str(raw["text"])
-        if ctx.source[start:end] == replacement:
-            return None
-        return Fix(
-            edits=(Edit(start, end, replacement),),
-            note="rewrite check-then-act as an atomic dict.setdefault",
-        )
-
-
-@register
-class LockOrderRule(Rule):
-    id = "CW704"
-    name = "inconsistent-lock-order"
-    description = (
-        "Two locks are acquired in opposite orders on different call paths "
-        "(A then B here, B then A elsewhere): two threads interleaving the "
-        "two orders deadlock."
-    )
-    requires_project = True
-
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _records_for(ctx, self.id):
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"{record['symbol']} is acquired while holding "
-                f"{record['outer']} in {record['function']}(), but "
-                f"{record['opposite']} acquires them in the opposite order — "
-                "pick one global order",
-                severity=_severity(ctx),
-            )
-
-
-@register
-class BlockingUnderLockRule(Rule):
-    id = "CW705"
-    name = "blocking-call-under-lock"
-    description = (
-        "A blocking call (sleep, subprocess, socket, file IO) runs while a "
-        "lock is held on a path reachable from a thread domain: every peer "
-        "contending on the lock stalls behind the IO."
-    )
-    requires_project = True
-
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _records_for(ctx, self.id):
-            domains = ", ".join(record["domains"])  # type: ignore[arg-type]
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"{record['what']}() blocks while holding {record['lock']} "
-                f"in {record['function']}() on a [{domains}] path — move the "
-                "blocking call outside the lock",
                 severity=_severity(ctx),
             )

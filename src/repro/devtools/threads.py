@@ -1,9 +1,9 @@
 """Static race detection for the concurrent serving path (crowdlint v4).
 
-Three stages, mirroring the v3 whole-program pipeline:
+Three stages over the whole-program call graph:
 
 1. **Thread-entry discovery.**  Per-module *thread facts* (extracted next to
-   the domain summaries, so they ride the same content-addressed cache)
+   the module summaries, so they ride the same content-addressed cache)
    record every spawn site — ``threading.Thread(target=...)``,
    ``concurrent.futures`` submissions, ``exec.ordered_map`` worker fns,
    executor ``initializer=`` hooks — and every ``BaseHTTPRequestHandler``
@@ -23,13 +23,10 @@ Three stages, mirroring the v3 whole-program pipeline:
 3. **Lockset inference.**  ``with <lock>:`` regions and
    ``acquire()``/``release()`` pairs produce per-site held-lock sets;
    held sets propagate interprocedurally through an optimistic entry-lock
-   fixpoint (the intersection of every resolved call site's held set, like
-   the v3 domain fixpoint).  A shared symbol whose writes are majority-
-   guarded by one lock gets that lock as its *guarded-by*; the CW7xx pack
-   then reports bare writes (CW701), inconsistently-guarded writes
-   (CW702), non-atomic check-then-act on shared dicts (CW703), inconsistent
-   lock acquisition order (CW704), and blocking calls under a lock on a
-   thread-reachable path (CW705).
+   fixpoint (the intersection of every resolved call site's held set).
+   A shared symbol whose writes are majority-guarded by one lock gets that
+   lock as its *guarded-by*; the CW7xx pack then reports bare writes
+   (CW701) and inconsistently-guarded writes (CW702).
 
 Only **writes** anchor findings.  Bare *reads* of a published reference are
 idiomatic under the GIL (``get_observer`` returning the module global) and
@@ -54,7 +51,7 @@ __all__ = ["extract_thread_facts", "ThreadAnalysis"]
 #: Bumped when the thread-fact schema changes (facts ride inside the module
 #: summaries, so the summary cache and the ruleset fingerprint already
 #: invalidate stale entries; this is belt-and-braces for hand-rolled dicts).
-THREAD_FORMAT = "1"
+THREAD_FORMAT = "2"
 
 DOMAIN_MAIN = "main"          #: code not reachable from any spawn site
 DOMAIN_HANDLER = "handler"    #: per-request threads of a ThreadingHTTPServer
@@ -104,32 +101,6 @@ _EXECUTOR_CTORS = {
 }
 #: ``repro.exec.ordered_map`` fans work out to a process pool.
 _POOL_MAP_FNS = frozenset({"ordered_map"})
-
-#: Blocking calls by qualified attribute chain (CW705 candidates).
-_BLOCKING_CHAINS = {
-    ("time", "sleep"): "time.sleep",
-    ("subprocess", "run"): "subprocess.run",
-    ("subprocess", "call"): "subprocess.call",
-    ("subprocess", "check_call"): "subprocess.check_call",
-    ("subprocess", "check_output"): "subprocess.check_output",
-    ("subprocess", "Popen"): "subprocess.Popen",
-    ("socket", "create_connection"): "socket.create_connection",
-    ("urllib", "request", "urlopen"): "urllib.request.urlopen",
-    ("requests", "get"): "requests.get",
-    ("requests", "post"): "requests.post",
-    ("requests", "request"): "requests.request",
-}
-#: ``from <module> import <name>`` forms of the same calls.
-_BLOCKING_IMPORTS = {
-    ("time", "sleep"): "time.sleep",
-    ("subprocess", "run"): "subprocess.run",
-    ("subprocess", "call"): "subprocess.call",
-    ("subprocess", "check_call"): "subprocess.check_call",
-    ("subprocess", "check_output"): "subprocess.check_output",
-    ("subprocess", "Popen"): "subprocess.Popen",
-    ("urllib.request", "urlopen"): "urllib.request.urlopen",
-    ("socket", "create_connection"): "socket.create_connection",
-}
 
 #: Methods exempt from the shared-write rules: the instance is not yet
 #: published while its constructor runs (happens-before the escape).
@@ -227,7 +198,6 @@ class _ModuleInventory:
         self.class_attrs: Dict[str, Set[str]] = {}
         self.attr_locks: Dict[str, Set[str]] = {}
         self.handler_classes: Set[str] = set()
-        self.blocking_imports: Dict[str, str] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -235,11 +205,6 @@ class _ModuleInventory:
         for node in ast.walk(tree):
             if isinstance(node, ast.Global):
                 self.rebound_globals.update(node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-                for alias in node.names:
-                    label = _BLOCKING_IMPORTS.get((node.module, alias.name))
-                    if label is not None:
-                        self.blocking_imports[alias.asname or alias.name] = label
         for stmt in tree.body:
             targets: List[ast.expr] = []
             value: Optional[ast.expr] = None
@@ -389,7 +354,7 @@ def extract_thread_facts(tree: ast.Module) -> Dict[str, object]:
 
 
 class _FactRecorder:
-    """Pass 2: one record per function — accesses, locks, calls, spawns."""
+    """Pass 2: one record per function — accesses, calls, spawns."""
 
     def __init__(self, inventory: _ModuleInventory, functions: Dict[str, Dict[str, object]]):
         self.inv = inventory
@@ -413,10 +378,7 @@ class _FactRecorder:
             "class": self_class,
             "writes": [],
             "reads": [],
-            "acquires": [],
             "calls": [],
-            "blocking": [],
-            "cta": [],
             "spawns": [],
         }
         self.functions[qualname] = record
@@ -488,11 +450,11 @@ class _FunctionWalker:
 
     def _emit(self, kind: str, symbol: str, node: ast.AST, held: Sequence[str]) -> None:
         entry = {
-            "lock" if kind == "acquires" else "sym": symbol,
+            "sym": symbol,
             "line": node.lineno,  # type: ignore[attr-defined]
             "col": node.col_offset,  # type: ignore[attr-defined]
         }
-        if kind != "reads":
+        if kind == "writes":
             entry["held"] = sorted(set(held))
         self.rec[kind].append(entry)  # type: ignore[union-attr]
 
@@ -520,13 +482,11 @@ class _FunctionWalker:
                 self._scan_expr(item.context_expr, held + entered)
                 lock = self._lock_of(item.context_expr)
                 if lock is not None and lock not in entered_set:
-                    self._emit("acquires", lock, item.context_expr, held + entered)
                     entered.append(lock)
                     entered_set.add(lock)
             self.walk_block(stmt.body, held + entered)
             return
         if isinstance(stmt, ast.If):
-            self._check_then_act(stmt, held)
             self._scan_expr(stmt.test, held)
             self.walk_block(stmt.body, held)
             self.walk_block(stmt.orelse, held)
@@ -594,7 +554,6 @@ class _FunctionWalker:
             return False
         if expr.func.attr == "acquire":
             if lock not in held:
-                self._emit("acquires", lock, expr, held)
                 held.append(lock)
         elif lock in held:
             held.remove(lock)
@@ -660,7 +619,6 @@ class _FunctionWalker:
                 }
             )
         self._record_spawn(call)
-        self._record_blocking(call, held)
         if (
             isinstance(call.func, ast.Attribute)
             and call.func.attr in _MUTATING_METHODS
@@ -719,130 +677,6 @@ class _FunctionWalker:
                     }
                 )
 
-    def _record_blocking(self, call: ast.Call, held: Sequence[str]) -> None:
-        label: Optional[str] = None
-        if isinstance(call.func, ast.Name):
-            if call.func.id == "open":
-                label = "open"
-            else:
-                label = self.inv.blocking_imports.get(call.func.id)
-        else:
-            chain = _attr_chain(call.func)
-            if chain is not None:
-                label = _BLOCKING_CHAINS.get(tuple(chain))
-        if label is not None:
-            self.rec["blocking"].append(  # type: ignore[union-attr]
-                {
-                    "what": label,
-                    "line": call.lineno,
-                    "col": call.col_offset,
-                    "held": sorted(set(held)),
-                }
-            )
-
-    # -- check-then-act ----------------------------------------------------
-
-    def _check_then_act(self, stmt: ast.If, held: Sequence[str]) -> None:
-        test = stmt.test
-        if not (
-            isinstance(test, ast.Compare)
-            and len(test.ops) == 1
-            and isinstance(test.ops[0], (ast.In, ast.NotIn))
-            and len(test.comparators) == 1
-        ):
-            return
-        container = test.comparators[0]
-        symbol = self._container_symbol(container)
-        if symbol is None:
-            return
-        container_text = _safe_unparse(container)
-        key_text = _safe_unparse(test.left)
-        if container_text is None or key_text is None:
-            return
-        if not self._acts_on(stmt, container_text, key_text):
-            return
-        self.rec["cta"].append(  # type: ignore[union-attr]
-            {
-                "sym": symbol,
-                "line": stmt.lineno,
-                "col": stmt.col_offset,
-                "held": sorted(set(held)),
-                "fix": self._setdefault_fix(stmt, test, container_text, key_text),
-            }
-        )
-
-    def _acts_on(self, stmt: ast.If, container_text: str, key_text: str) -> bool:
-        for node in ast.walk(stmt):
-            if not isinstance(node, ast.Subscript):
-                continue
-            if (
-                _safe_unparse(node.value) == container_text
-                and _safe_unparse(node.slice) == key_text
-            ):
-                return True
-        return False
-
-    def _setdefault_fix(
-        self, stmt: ast.If, test: ast.Compare, container_text: str, key_text: str
-    ) -> Optional[Dict[str, object]]:
-        """The mechanical rewrite ``if k not in d: d[k] = v`` → ``setdefault``.
-
-        Only offered when the value expression is effects-free enough that
-        eager evaluation cannot change behaviour (constants, names, empty
-        constructors, literal displays of those).
-        """
-        if not isinstance(test.ops[0], ast.NotIn) or stmt.orelse or len(stmt.body) != 1:
-            return None
-        body = stmt.body[0]
-        if not (isinstance(body, ast.Assign) and len(body.targets) == 1):
-            return None
-        target = body.targets[0]
-        if not (
-            isinstance(target, ast.Subscript)
-            and _safe_unparse(target.value) == container_text
-            and _safe_unparse(target.slice) == key_text
-        ):
-            return None
-        if not _is_effect_free(body.value):
-            return None
-        value_text = _safe_unparse(body.value)
-        if value_text is None:
-            return None
-        end_lineno = getattr(stmt, "end_lineno", None)
-        end_col = getattr(stmt, "end_col_offset", None)
-        if end_lineno is None or end_col is None:
-            return None
-        return {
-            "l1": stmt.lineno,
-            "c1": stmt.col_offset,
-            "l2": end_lineno,
-            "c2": end_col,
-            "text": f"{container_text}.setdefault({key_text}, {value_text})",
-        }
-
-
-def _safe_unparse(node: ast.AST) -> Optional[str]:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on parsed trees
-        return None
-
-
-def _is_effect_free(expr: ast.AST) -> bool:
-    if isinstance(expr, (ast.Constant, ast.Name)):
-        return True
-    if isinstance(expr, (ast.List, ast.Set, ast.Tuple)):
-        return all(_is_effect_free(element) for element in expr.elts)
-    if isinstance(expr, ast.Dict):
-        return all(
-            key is not None and _is_effect_free(key) and _is_effect_free(value)
-            for key, value in zip(expr.keys, expr.values)
-        )
-    if isinstance(expr, ast.Call):
-        return _last_name(expr.func) in _MUTABLE_CTORS and not expr.args and not expr.keywords
-    return False
-
-
 # --------------------------------------------------------------------------
 # whole-program analysis
 # --------------------------------------------------------------------------
@@ -853,12 +687,12 @@ Node = Tuple[str, str]  # (module key, function qualname)
 class ThreadAnalysis:
     """Roots, concurrency domains, locksets, and guarded-by inference.
 
-    Built from the per-module thread facts riding inside the domain
+    Built from the per-module thread facts riding inside the module
     summaries plus the project's symbolic-call resolver; everything here is
     derived data, so rehydrated worker projects rebuild it on demand.
     """
 
-    _MAX_PASSES = 20  # entry-lock fixpoint bound, like the domain fixpoint
+    _MAX_PASSES = 20  # entry-lock fixpoint bound
 
     def __init__(
         self,
@@ -998,9 +832,6 @@ class ThreadAnalysis:
         marks = self.domains.get(node)
         return frozenset(marks) if marks else frozenset({DOMAIN_MAIN})
 
-    def _is_racy(self, node: Node) -> bool:
-        return bool(self.domains.get(node, set()) & RACY_DOMAINS)
-
     def _collect_shared(self) -> None:
         accesses: Dict[str, Dict[str, object]] = {}
         for node, record in sorted(self.nodes.items()):
@@ -1069,124 +900,30 @@ class ThreadAnalysis:
 
     def _emit_records(self) -> None:
         records: Dict[str, List[Dict[str, object]]] = {}
-
-        def emit(module_key: str, record: Dict[str, object]) -> None:
-            records.setdefault(module_key, []).append(record)
-
         for key in sorted(self.shared):
             info = self.shared[key]
             guard = info["guard"]
-            domains = sorted(info["domains"])  # type: ignore[arg-type]
             for write in info["writes"]:  # type: ignore[union-attr]
                 node = write["node"]
                 held = write["held"]
-                if guard is None:
-                    if not held:
-                        emit(
-                            node[0],
-                            {
-                                "rule": "CW701",
-                                "line": write["line"],
-                                "col": write["col"],
-                                "symbol": self.pretty_symbol(key),
-                                "domains": domains,
-                                "function": node[1],
-                            },
-                        )
-                elif guard not in held:
-                    emit(
-                        node[0],
-                        {
-                            "rule": "CW702",
-                            "line": write["line"],
-                            "col": write["col"],
-                            "symbol": self.pretty_symbol(key),
-                            "guard": self.pretty_lock(node[0], str(guard)),
-                            "function": node[1],
-                        },
-                    )
-        self._emit_check_then_act(emit)
-        self._emit_lock_order(emit)
-        self._emit_blocking(emit)
+                record: Dict[str, object] = {
+                    "line": write["line"],
+                    "col": write["col"],
+                    "symbol": self.pretty_symbol(key),
+                    "function": node[1],
+                }
+                if guard is None and not held:
+                    record["rule"] = "CW701"
+                    record["domains"] = sorted(info["domains"])  # type: ignore[arg-type]
+                elif guard is not None and guard not in held:
+                    record["rule"] = "CW702"
+                    record["guard"] = self.pretty_lock(node[0], str(guard))
+                else:
+                    continue
+                records.setdefault(node[0], []).append(record)
         for module_records in records.values():
             module_records.sort(key=lambda r: (r["line"], r["col"], r["rule"]))
         self._records = records
-
-    def _emit_check_then_act(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
-        for node, record in sorted(self.nodes.items()):
-            module_key, _qualname = node
-            for cta in record.get("cta", []):  # type: ignore[union-attr]
-                key = f"{module_key}::{cta['sym']}"
-                if key not in self.shared:
-                    continue
-                if self._effective_held(node, cta.get("held", [])):
-                    continue  # the whole check→act runs under some lock
-                emit(
-                    module_key,
-                    {
-                        "rule": "CW703",
-                        "line": cta["line"],
-                        "col": cta["col"],
-                        "symbol": self.pretty_symbol(key),
-                        "function": node[1],
-                        "fix": cta.get("fix"),
-                    },
-                )
-
-    def _emit_lock_order(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
-        order: Dict[Tuple[str, str], List[Tuple[Node, int, int]]] = {}
-        for node, record in sorted(self.nodes.items()):
-            module_key, _qualname = node
-            for acquire in record.get("acquires", []):  # type: ignore[union-attr]
-                held = self._effective_held(node, acquire.get("held", []))
-                for outer in held:
-                    if outer == acquire["lock"]:
-                        continue
-                    pair = (self._lock_key(module_key, str(outer)), self._lock_key(module_key, str(acquire["lock"])))
-                    order.setdefault(pair, []).append(
-                        (node, int(acquire["line"]), int(acquire["col"]))
-                    )
-        for (outer, inner), sites in sorted(order.items()):
-            reverse = order.get((inner, outer))
-            if not reverse:
-                continue
-            opposite = reverse[0]
-            for node, line, col in sites:
-                emit(
-                    node[0],
-                    {
-                        "rule": "CW704",
-                        "line": line,
-                        "col": col,
-                        "symbol": self.pretty_symbol(inner),
-                        "outer": self.pretty_symbol(outer),
-                        "opposite": f"{opposite[0][0]}:{opposite[1]}",
-                        "function": node[1],
-                    },
-                )
-
-    def _emit_blocking(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
-        for node, record in sorted(self.nodes.items()):
-            module_key, _qualname = node
-            if not self._is_racy(node):
-                continue
-            for blocking in record.get("blocking", []):  # type: ignore[union-attr]
-                held = self._effective_held(node, blocking.get("held", []))
-                if not held:
-                    continue
-                lock = sorted(held)[0]
-                emit(
-                    module_key,
-                    {
-                        "rule": "CW705",
-                        "line": blocking["line"],
-                        "col": blocking["col"],
-                        "what": blocking["what"],
-                        "lock": self.pretty_lock(module_key, lock),
-                        "domains": sorted(self.domains.get(node, set())),
-                        "function": node[1],
-                    },
-                )
 
     # -- public api --------------------------------------------------------
 
@@ -1214,9 +951,6 @@ class ThreadAnalysis:
     def n_shared(self) -> int:
         return len(self.shared)
 
-    def _lock_key(self, module_key: str, lock: str) -> str:
-        return f"{module_key}::{lock}"
-
     @staticmethod
     def pretty_symbol(key: str) -> str:
         """``mod::g:X`` → ``mod.X``; ``mod::a:Cls:attr`` → ``mod.Cls.attr``."""
@@ -1229,7 +963,7 @@ class ThreadAnalysis:
         return key
 
     def pretty_lock(self, module_key: str, lock: str) -> str:
-        return self.pretty_symbol(lock if "::" in lock else self._lock_key(module_key, lock))
+        return self.pretty_symbol(lock if "::" in lock else f"{module_key}::{lock}")
 
     def render(self) -> str:
         """The ``--threads`` debug listing: roots, shared state, accesses."""

@@ -3,7 +3,7 @@
 from .api import CrowdWebAPI
 from .cache import CacheEntry, ResponseCache, dataset_fingerprint
 from .pages import Pages
-from .server import RETRY_AFTER_S, CrowdWebApp, CrowdWebServer, route_request
+from .server import RETRY_AFTER_S, CrowdWebApp, CrowdWebServer
 from .tiles import DEFAULT_MAX_ZOOM, TileIndex
 
 __all__ = [
@@ -17,5 +17,4 @@ __all__ = [
     "ResponseCache",
     "TileIndex",
     "dataset_fingerprint",
-    "route_request",
 ]

@@ -40,7 +40,7 @@ from .cache import CacheEntry, ResponseCache, dataset_fingerprint
 from .pages import Pages
 from .routes import Request, resolve
 
-__all__ = ["CrowdWebApp", "CrowdWebServer", "RETRY_AFTER_S", "route_request"]
+__all__ = ["CrowdWebApp", "CrowdWebServer", "RETRY_AFTER_S"]
 
 #: ``Retry-After`` seconds advertised while the pipeline precompute runs.
 RETRY_AFTER_S = 1
@@ -55,19 +55,6 @@ _HTML = "text/html; charset=utf-8"
 def _json_bytes(payload: Dict) -> bytes:
     """Strict JSON: a NaN or infinity raises instead of emitting invalid JSON."""
     return json.dumps(payload, allow_nan=False).encode("utf-8")
-
-
-def route_request(api: CrowdWebAPI, pages: Pages, path: str) -> Tuple[int, str, str]:
-    """Serve one GET request path → (status, content_type, body).
-
-    Socket-free and unshared: the request goes through a throwaway
-    :class:`CrowdWebApp` around ``api`` and ``pages``, so it takes the same
-    resolve, render and observability path as the server.
-    """
-    app = CrowdWebApp(api.result, cache_entries=1)
-    app.api, app.pages = api, pages
-    status, headers, body = app.handle("GET", path)
-    return status, dict(headers)["Content-Type"], body.decode("utf-8")
 
 
 def _header(headers: Optional[Mapping], name: str) -> Optional[str]:

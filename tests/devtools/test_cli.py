@@ -81,12 +81,6 @@ class TestFormats:
         assert payload["by_rule"] == {"CW103": 1}
         assert payload["findings"][0]["fixable"] is True
 
-    def test_sarif_format(self, dirty_file, capsys):
-        main(["--no-cache", "--format", "sarif", str(dirty_file)])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-        assert payload["runs"][0]["results"][0]["ruleId"] == "CW103"
-
 
 class TestFixAndDiff:
     def test_diff_previews_without_writing(self, dirty_file, capsys):

@@ -1,6 +1,24 @@
-"""CW105 export-drift: positive and negative fixtures."""
+"""CW105 export drift and CW604 dead exports: positive and negative fixtures."""
 
 from __future__ import annotations
+
+import textwrap
+from pathlib import Path
+from typing import Dict, List
+
+from repro.devtools import Finding, LintEngine
+
+
+def lint_tree(root: Path, modules: Dict[str, str], **kwargs) -> List[Finding]:
+    """Write dotted-name modules (with package ``__init__`` files) and lint them."""
+    for dotted, source in modules.items():
+        directory = root
+        for part in dotted.split(".")[:-1]:
+            directory = directory / part
+            directory.mkdir(exist_ok=True)
+            (directory / "__init__.py").touch()
+        (directory / f"{dotted.rsplit('.', 1)[1]}.py").write_text(textwrap.dedent(source))
+    return LintEngine(**kwargs).lint_paths([root])
 
 
 def test_flags_unknown_name_in_all(lint):
@@ -89,3 +107,60 @@ def test_conditionally_bound_names_count_as_bound(lint):
             pass
     """
     assert lint(source, rule="CW105") == []
+
+
+class TestDeadExports:
+    def test_unreferenced_export_is_flagged(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro.mining.api": """
+                    __all__ = ["used", "orphan"]
+
+
+                    def used():
+                        return 1
+
+
+                    def orphan():
+                        return 2
+                    """,
+                "repro.mining.client": """
+                    from repro.mining.api import used
+
+
+                    def go():
+                        return used()
+                    """,
+            },
+            select=["CW604"],
+        )
+        assert [f.rule_id for f in findings] == ["CW604"]
+        assert "orphan" in findings[0].message
+
+    def test_pragma_suppresses_intentional_surface(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro.mining.api": """
+                    # crowdlint: disable-file=CW604 -- public surface for notebooks
+                    __all__ = ["orphan"]
+
+
+                    def orphan():
+                        return 2
+                    """,
+            },
+            select=["CW604"],
+        )
+        assert findings == []
+
+    def test_noop_without_a_project(self, lint):
+        # lint_source builds no project; the rule must stay silent, not crash.
+        source = """\
+        __all__ = ["orphan"]
+
+        def orphan():
+            pass
+        """
+        assert lint(source, rule="CW604", module="repro.mining.api") == []

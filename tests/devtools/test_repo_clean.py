@@ -41,7 +41,10 @@ def test_cli_exits_nonzero_on_seeded_domain_bugs(tmp_path, capsys):
             from repro.web import api
             from repro.exec import ordered_map
 
+            __all__ = ["count", "dedupe", "fanout", "load", "place", "record", "shuffled", "start"]
+
             _LOCK = threading.Lock()
+            HITS = {}
 
 
             def place(venue):
@@ -60,6 +63,28 @@ def test_cli_exits_nonzero_on_seeded_domain_bugs(tmp_path, capsys):
 
             def count(obs, venues):
                 obs.inc("repro_mining_venues_counted", len(venues))
+
+
+            def dedupe(venues):
+                seen = []
+                for venue in venues:
+                    if venue not in seen:
+                        seen.append(venue)
+                return seen
+
+
+            def record(key):
+                HITS[key] = 1
+
+
+            def start():
+                threading.Thread(target=record, args=("k",)).start()
+
+
+            def load(path):
+                handle = open(path)
+                data = handle.read()
+                return data
             """
         )
     )
@@ -72,3 +97,7 @@ def test_cli_exits_nonzero_on_seeded_domain_bugs(tmp_path, capsys):
     assert "CW301" in out  # CW3xx: lambda shipped to ordered_map
     assert "CW302" in out  # CW3xx: module-level lock
     assert "CW401" in out  # CW4xx: metric name missing its unit segment
+    assert "CW501" in out  # CW5xx: list membership probed inside a loop
+    assert "CW604" in out  # CW6xx: __all__ entries nothing else references
+    assert "CW701" in out  # CW7xx: unguarded write from a worker thread
+    assert "CW801" in out  # CW8xx: file handle never closed

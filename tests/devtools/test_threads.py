@@ -110,8 +110,6 @@ class TestExtraction:
             ("g:CACHE", ["g:LOCK"]),
             ("g:CACHE", []),
         ]
-        acquires = facts["functions"]["guarded"]["acquires"]
-        assert [(a["lock"], a["held"]) for a in acquires] == [("g:LOCK", [])]
 
     def test_acquire_release_toggle(self):
         facts = facts_of(
@@ -200,63 +198,6 @@ class TestExtraction:
             ("thread", ["name", "work"]),
             ("thread", ["name", "work"]),
             ("pool", ["name", "work"]),
-        ]
-
-    def test_check_then_act_with_and_without_fix(self):
-        facts = facts_of(
-            """
-            CACHE = {}
-
-
-            def fill(key):
-                if key not in CACHE:
-                    CACHE[key] = []
-
-
-            def bump(key):
-                if key in CACHE:
-                    CACHE[key] += 1
-            """
-        )
-        fill_cta, = facts["functions"]["fill"]["cta"]
-        assert fill_cta["sym"] == "g:CACHE"
-        assert fill_cta["fix"]["text"] == "CACHE.setdefault(key, [])"
-        bump_cta, = facts["functions"]["bump"]["cta"]
-        assert bump_cta["fix"] is None
-
-    def test_cta_fix_refused_for_effectful_values(self):
-        facts = facts_of(
-            """
-            CACHE = {}
-
-
-            def fill(key):
-                if key not in CACHE:
-                    CACHE[key] = expensive(key)
-            """
-        )
-        cta, = facts["functions"]["fill"]["cta"]
-        assert cta["fix"] is None  # eager evaluation would change behaviour
-
-    def test_blocking_records_held(self):
-        facts = facts_of(
-            """
-            import threading
-            import time
-
-            LOCK = threading.Lock()
-
-
-            def slow():
-                with LOCK:
-                    time.sleep(0.1)
-                time.sleep(0.2)
-            """
-        )
-        blocking = facts["functions"]["slow"]["blocking"]
-        assert [(b["what"], b["held"]) for b in blocking] == [
-            ("time.sleep", ["g:LOCK"]),
-            ("time.sleep", []),
         ]
 
 

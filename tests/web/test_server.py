@@ -6,13 +6,7 @@ import urllib.request
 
 import pytest
 
-from repro.web import (
-    RETRY_AFTER_S,
-    CrowdWebAPI,
-    CrowdWebServer,
-    Pages,
-    route_request,
-)
+from repro.web import RETRY_AFTER_S, CrowdWebAPI, CrowdWebApp, CrowdWebServer
 
 
 #: Malformed, out-of-range, non-finite, unknown and repeated parameters.
@@ -42,9 +36,10 @@ BAD_TILE_PARAMS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def handlers(pipeline_result):
-    return CrowdWebAPI(pipeline_result), Pages(pipeline_result)
+def get(result, path):
+    """GET ``path`` from a fresh app → (status, content type, body text)."""
+    status, headers, body = CrowdWebApp(result).handle("GET", path)
+    return status, dict(headers)["Content-Type"], body.decode("utf-8")
 
 
 class TestRouting:
@@ -71,54 +66,54 @@ class TestRouting:
         ("/api/tiles/1/1/0?window=9", "application/json"),
         ("/city?window=3&zoom=1", "text/html; charset=utf-8"),
     ])
-    def test_routes_ok(self, handlers, path, content_type):
-        status, ctype, body = route_request(*handlers, path)
+    def test_routes_ok(self, pipeline_result, path, content_type):
+        status, ctype, body = get(pipeline_result, path)
         assert status == 200
         assert ctype == content_type
         assert body
 
-    def test_user_page(self, handlers, pipeline_result):
+    def test_user_page(self, pipeline_result):
         uid = sorted(pipeline_result.profiles)[0]
-        status, _, body = route_request(*handlers, f"/user/{uid}")
+        status, _, body = get(pipeline_result, f"/user/{uid}")
         assert status == 200
         assert uid in body
 
-    def test_unknown_user_404(self, handlers):
-        status, _, body = route_request(*handlers, "/user/ghost")
+    def test_unknown_user_404(self, pipeline_result):
+        status, _, body = get(pipeline_result, "/user/ghost")
         assert status == 404
         assert "ghost" in body
 
-    def test_unknown_path_404(self, handlers):
-        status, _, _ = route_request(*handlers, "/nope/deep")
+    def test_unknown_path_404(self, pipeline_result):
+        status, _, _ = get(pipeline_result, "/nope/deep")
         assert status == 404
 
-    def test_bad_params_400(self, handlers):
+    def test_bad_params_400(self, pipeline_result):
         for path in BAD_PARAMS:
-            status, ctype, body = route_request(*handlers, path)
+            status, ctype, body = get(pipeline_result, path)
             assert (path, status) == (path, 400)
             assert ctype == "application/json"
             assert json.loads(body)["error"]
 
-    def test_bad_tile_params_400(self, handlers):
+    def test_bad_tile_params_400(self, pipeline_result):
         for path in BAD_TILE_PARAMS:
-            status, _, _ = route_request(*handlers, path)
+            status, _, _ = get(pipeline_result, path)
             assert (path, status) == (path, 400)
 
-    def test_city_window_clamped(self, handlers):
+    def test_city_window_clamped(self, pipeline_result):
         # An out-of-range window gets the same 400 on every route.
-        status, _, _ = route_request(*handlers, "/city?window=999")
+        status, _, _ = get(pipeline_result, "/city?window=999")
         assert status == 400
 
-    def test_metrics_route(self, handlers, pipeline_result):
+    def test_metrics_route(self, pipeline_result):
         uid = sorted(pipeline_result.profiles)[0]
-        status, _, body = route_request(*handlers, f"/api/metrics/{uid}")
+        status, _, body = get(pipeline_result, f"/api/metrics/{uid}")
         assert status == 200
         assert json.loads(body)["user_id"] == uid
-        status, _, _ = route_request(*handlers, "/api/metrics/ghost")
+        status, _, _ = get(pipeline_result, "/api/metrics/ghost")
         assert status == 404
 
-    def test_json_payloads_parse(self, handlers):
-        _, _, body = route_request(*handlers, "/api/crowd/9")
+    def test_json_payloads_parse(self, pipeline_result):
+        _, _, body = get(pipeline_result, "/api/crowd/9")
         payload = json.loads(body)
         assert payload["window"] == "09:00-10:00"
 
@@ -303,33 +298,32 @@ class TestCacheRoutes:
 
 
 class TestSpikesRoute:
-    def test_route(self, handlers):
-        status, ctype, body = route_request(*handlers, "/api/spikes?z=3.5")
+    def test_route(self, pipeline_result):
+        status, ctype, body = get(pipeline_result, "/api/spikes?z=3.5")
         assert status == 200
         payload = json.loads(body)
         assert payload["z_threshold"] == 3.5
 
 
 class TestObservability:
-    def test_metrics_endpoint_when_disabled(self, handlers):
-        status, ctype, body = route_request(*handlers, "/metrics")
+    def test_metrics_endpoint_when_disabled(self, pipeline_result):
+        status, ctype, body = get(pipeline_result, "/metrics")
         assert status == 200
         assert ctype == "application/json"
         payload = json.loads(body)
         assert payload["enabled"] is False
         assert payload["counters"] == {}
 
-    def test_traced_requests_feed_the_metrics_endpoint(self, handlers,
-                                                       pipeline_result):
+    def test_traced_requests_feed_the_metrics_endpoint(self, pipeline_result):
         from repro.obs import observed
 
         uid = sorted(pipeline_result.profiles)[0]
         with observed():
-            route_request(*handlers, "/api/users")
-            route_request(*handlers, f"/api/user/{uid}")
-            route_request(*handlers, f"/api/user/{uid}")
-            route_request(*handlers, "/api/crowd/banana")  # a 400
-            status, _, body = route_request(*handlers, "/metrics")
+            get(pipeline_result, "/api/users")
+            get(pipeline_result, f"/api/user/{uid}")
+            get(pipeline_result, f"/api/user/{uid}")
+            get(pipeline_result, "/api/crowd/banana")  # a 400
+            status, _, body = get(pipeline_result, "/metrics")
         assert status == 200
         payload = json.loads(body)
         assert payload["enabled"] is True
@@ -343,25 +337,25 @@ class TestObservability:
         assert len(latency["/api/user/:id"]["counts"]) == \
             len(latency["/api/user/:id"]["buckets"]) + 1
 
-    def test_unmatched_paths_share_one_label(self, handlers):
+    def test_unmatched_paths_share_one_label(self, pipeline_result):
         from repro.obs import observed
         from repro.web.routes import UNMATCHED
 
         with observed():
             for i in range(50):
-                status, _, _ = route_request(*handlers, f"/probe{i}")
+                status, _, _ = get(pipeline_result, f"/probe{i}")
                 assert status == 404
-            _, _, body = route_request(*handlers, "/metrics")
+            _, _, body = get(pipeline_result, "/metrics")
         payload = json.loads(body)
         assert payload["counters"]["repro_web_requests_total"] == {UNMATCHED: 50}
         assert payload["counters"]["repro_web_errors_total"] == {UNMATCHED: 50}
         assert list(payload["histograms"]["repro_web_request_latency_s"]) == [UNMATCHED]
 
-    def test_request_spans_record_endpoint_and_status(self, handlers):
+    def test_request_spans_record_endpoint_and_status(self, pipeline_result):
         from repro.obs import observed
 
         with observed() as o:
-            route_request(*handlers, "/user/ghost")
+            get(pipeline_result, "/user/ghost")
         (root,) = o.tracer.export()
         assert root["name"] == "web.request"
         assert root["attrs"]["endpoint"] == "/user/:id"
