@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
-from ..geo import GeoPoint
+from ..geo import GeoPoint, validate_lat_lon
 from .records import CheckIn, CheckInDataset, Venue
 
 __all__ = [
@@ -34,6 +34,9 @@ __all__ = [
 
 #: Foursquare dump timestamp format, e.g. ``Tue Apr 03 18:00:09 +0000 2012``.
 _FOURSQUARE_TIME_FORMAT = "%a %b %d %H:%M:%S %z %Y"
+
+#: Valid UTC offsets in minutes: UTC-12:00 to UTC+14:00.
+_TZ_OFFSET_RANGE_MIN = (-720, 840)
 
 _CSV_FIELDS = [
     "user_id",
@@ -60,11 +63,14 @@ def read_foursquare_tsv(path: Union[str, Path], name: Optional[str] = None) -> C
 
     Columns: user id, venue id, venue category id, venue category name,
     latitude, longitude, timezone offset in minutes, UTC time.
-    Malformed rows raise :class:`ValueError` with the offending line number.
+    Malformed rows raise :class:`ValueError` with the offending line number:
+    unparsable fields, non-finite or out-of-range coordinates, and timezone
+    offsets outside UTC-12:00..UTC+14:00.
     """
     path = Path(path)
     checkins: List[CheckIn] = []
     venues: Dict[str, Venue] = {}
+    tz_lo, tz_hi = _TZ_OFFSET_RANGE_MIN
     with path.open("r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -74,27 +80,31 @@ def read_foursquare_tsv(path: Union[str, Path], name: Optional[str] = None) -> C
             if len(parts) != 8:
                 raise ValueError(f"{path}:{lineno}: expected 8 tab-separated fields, got {len(parts)}")
             try:
+                lat, lon, tz_offset_min = float(parts[4]), float(parts[5]), int(parts[6])
+                validate_lat_lon(lat, lon)  # NaN and inf fail the range test too
+                if not tz_lo <= tz_offset_min <= tz_hi:
+                    raise ValueError(f"tz_offset_min {tz_offset_min} out of range [{tz_lo}, {tz_hi}]")
                 record = CheckIn(
                     user_id=parts[0],
                     venue_id=parts[1],
                     category_id=parts[2],
                     category_name=parts[3],
-                    lat=float(parts[4]),
-                    lon=float(parts[5]),
-                    tz_offset_min=int(parts[6]),
+                    lat=lat,
+                    lon=lon,
+                    tz_offset_min=tz_offset_min,
                     timestamp=_parse_foursquare_time(parts[7]),
                 )
+                if record.venue_id not in venues:
+                    venues[record.venue_id] = Venue(
+                        venue_id=record.venue_id,
+                        name=record.venue_id,
+                        category_id=record.category_id,
+                        category_name=record.category_name,
+                        location=GeoPoint(lat, lon),
+                    )
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
             checkins.append(record)
-            if record.venue_id not in venues:
-                venues[record.venue_id] = Venue(
-                    venue_id=record.venue_id,
-                    name=record.venue_id,
-                    category_id=record.category_id,
-                    category_name=record.category_name,
-                    location=GeoPoint(record.lat, record.lon),
-                )
     return CheckInDataset(checkins, venues, name=name or path.stem)
 
 

@@ -9,12 +9,13 @@ real ones do.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...geo import BoundingBox, GeoPoint, QuadTree
+from ...geo import BoundingBox, GeoPoint, equirectangular_to_many_m
 from ...taxonomy import CategoryTree, build_default_taxonomy
 from ..records import Venue
 
@@ -46,6 +47,21 @@ _CHARACTER_MIX: Dict[str, Dict[str, float]] = {
 
 _CHARACTERS = tuple(_CHARACTER_MIX)
 
+def _choice_cdf(p: np.ndarray) -> List[float]:
+    """The CDF ``Generator.choice(len(p), p=p)`` searches, as a list.
+
+    ``choice`` draws one ``rng.random()`` and returns
+    ``searchsorted(cdf, u, side="right")``, so ``bisect_right(cdf, rng.random())``
+    over this list draws the same index and leaves the same stream behind.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _coordinates(venues: Sequence[Venue]) -> np.ndarray:
+    return np.array([(v.lat, v.lon) for v in venues], dtype=float).reshape(-1, 2)
+
 
 @dataclass(frozen=True)
 class Neighborhood:
@@ -58,7 +74,7 @@ class Neighborhood:
 
 
 class SyntheticCity:
-    """The generated city: neighborhoods, venues, and spatial/category indexes."""
+    """The generated city: neighborhoods, venues, and per-category venue pools."""
 
     def __init__(
         self,
@@ -78,9 +94,9 @@ class SyntheticCity:
             self._by_leaf.setdefault(v.category_name, []).append(v)
             root = taxonomy.root_of(v.category_id).name
             self._by_root.setdefault(root, []).append(v)
-        self.index: QuadTree[Venue] = QuadTree(bbox, capacity=32)
-        for v in venues:
-            self.index.insert(v.location, v)
+        #: pool name → ``(n, 2)`` array of its venues' ``(lat, lon)``, in pool order.
+        self._leaf_coords = {name: _coordinates(pool) for name, pool in self._by_leaf.items()}
+        self._root_coords = {name: _coordinates(pool) for name, pool in self._by_root.items()}
 
     def venues_of_leaf(self, leaf_name: str) -> List[Venue]:
         """All venues of one leaf category (empty list if none exist)."""
@@ -92,14 +108,24 @@ class SyntheticCity:
 
     def nearest_of_root(self, point: GeoPoint, root_name: str, k: int = 8) -> List[Venue]:
         """The ``k`` venues of a root category nearest to ``point``."""
-        pool = self._by_root.get(root_name, ())
-        scored = sorted(pool, key=lambda v: point.fast_distance_to(v.location))
-        return scored[:k]
+        return _nearest(self._by_root.get(root_name), self._root_coords.get(root_name), point, k)
 
     def nearest_of_leaf(self, point: GeoPoint, leaf_name: str, k: int = 8) -> List[Venue]:
-        pool = self._by_leaf.get(leaf_name, ())
-        scored = sorted(pool, key=lambda v: point.fast_distance_to(v.location))
-        return scored[:k]
+        """The ``k`` venues of a leaf category nearest to ``point``."""
+        return _nearest(self._by_leaf.get(leaf_name), self._leaf_coords.get(leaf_name), point, k)
+
+
+def _nearest(
+    pool: Optional[Sequence[Venue]], coords: Optional[np.ndarray], point: GeoPoint, k: int
+) -> List[Venue]:
+    """``sorted(pool, key=point.fast_distance_to)[:k]`` over the pool's coordinate array.
+
+    The sort is stable, so ties keep pool order as ``sorted`` does.
+    """
+    if not pool:
+        return []
+    distance = equirectangular_to_many_m(point.lat, point.lon, coords[:, 0], coords[:, 1])
+    return [pool[i] for i in np.argsort(distance, kind="stable")[:k].tolist()]
 
 
 def _scatter_around(
@@ -163,9 +189,9 @@ def build_city(
     for hood, count in zip(neighborhoods, venue_counts):
         mix = _CHARACTER_MIX[hood.character]
         weights = np.array([mix[r] for r in root_names])
-        weights = weights / weights.sum()
+        cdf = _choice_cdf(weights / weights.sum())
         for _ in range(int(count)):
-            root = root_names[int(rng.choice(len(root_names), p=weights))]
+            root = root_names[bisect.bisect_right(cdf, rng.random())]
             leaves = leaf_by_root[root]
             leaf = leaves[int(rng.integers(len(leaves)))]
             location = _scatter_around(rng, hood.center, hood.sigma_m, bbox)

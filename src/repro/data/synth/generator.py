@@ -10,15 +10,18 @@ output sparse in exactly the way the paper describes.
 
 from __future__ import annotations
 
+import bisect
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...obs import get_observer
 from ...taxonomy import build_default_taxonomy
 from ..records import CheckIn, CheckInDataset, Venue
 from .agents import AgentProfile, RoutineStop, build_agents
-from .city import SyntheticCity, build_city
+from .city import SyntheticCity, _choice_cdf, build_city
 from .config import SMALL_CONFIG, SynthConfig
 
 __all__ = ["GenerationResult", "generate", "synthetic_dataset", "small_dataset"]
@@ -27,6 +30,21 @@ __all__ = ["GenerationResult", "generate", "synthetic_dataset", "small_dataset"]
 def _preference_weights(n: int) -> np.ndarray:
     w = 1.0 / np.arange(1, n + 1, dtype=float)
     return w / w.sum()
+
+
+@lru_cache(maxsize=None)
+def _preference_cdf(n: int) -> Tuple[float, ...]:
+    return tuple(_choice_cdf(_preference_weights(n)))
+
+
+def _draw_preference(rng: np.random.Generator, n: int) -> int:
+    """``rng.choice(n, p=_preference_weights(n))`` from one ``rng.random()``."""
+    return bisect.bisect_right(_preference_cdf(n), rng.random())
+
+
+@lru_cache(maxsize=None)
+def _fixed_timezone(offset_min: int) -> timezone:
+    return timezone(timedelta(minutes=offset_min))
 
 
 class GenerationResult:
@@ -76,8 +94,7 @@ def _choose_venue(
         if candidates:
             return candidates[int(rng.integers(len(candidates)))]
         return None
-    weights = _preference_weights(len(pool))
-    return pool[int(rng.choice(len(pool), p=weights))]
+    return pool[_draw_preference(rng, len(pool))]
 
 
 def _local_timestamp(
@@ -85,25 +102,27 @@ def _local_timestamp(
 ) -> datetime:
     """A timezone-aware UTC timestamp for ``hour`` local on ``day``."""
     minutes = hour * 60.0 + rng.normal(0.0, jitter_min)
-    minutes = float(np.clip(minutes, 0.0, 24 * 60 - 1))
-    local_tz = timezone(timedelta(minutes=tz_offset_min))
-    local = day.replace(tzinfo=local_tz) + timedelta(minutes=minutes)
+    minutes = min(max(float(minutes), 0.0), 24 * 60 - 1.0)
+    local = day.replace(tzinfo=_fixed_timezone(tz_offset_min)) + timedelta(minutes=minutes)
     return local.astimezone(timezone.utc)
 
 
 def generate(config: SynthConfig = SynthConfig()) -> GenerationResult:
     """Run the full simulation for ``config`` (deterministic in ``config.seed``)."""
+    o = get_observer()
     rng = np.random.default_rng(config.seed)
     taxonomy = build_default_taxonomy()
-    city = build_city(
-        config.bbox,
-        config.n_neighborhoods,
-        config.n_venues,
-        config.neighborhood_sigma_m,
-        rng,
-        taxonomy,
-    )
-    agents = build_agents(city, config, rng)
+    with o.span("data.synth.city", n_venues=config.n_venues):
+        city = build_city(
+            config.bbox,
+            config.n_neighborhoods,
+            config.n_venues,
+            config.neighborhood_sigma_m,
+            rng,
+            taxonomy,
+        )
+    with o.span("data.synth.agents", n_users=config.n_users):
+        agents = build_agents(city, config, rng)
 
     # Resolve each injected event to a concrete venue (first of its category,
     # deterministic) once, up front.
@@ -121,55 +140,57 @@ def generate(config: SynthConfig = SynthConfig()) -> GenerationResult:
 
     checkins: List[CheckIn] = []
     day0 = datetime(config.start_date.year, config.start_date.month, config.start_date.day)
-    for day_index in range(config.n_days):
-        day = day0 + timedelta(days=day_index)
-        season = config.monthly_seasonality[day.month]
-        weekday = day.weekday()
-        todays_events = events_by_day.get(day.date(), ())
-        for agent in agents:
-            routine = agent.routine_for(weekday)
-            p_checkin = min(1.0, agent.checkin_prob * season)
-            for event, event_venue in todays_events:
-                if rng.random() >= event.attendance_prob:
-                    continue
-                if rng.random() >= min(1.0, p_checkin * event.checkin_boost):
-                    continue
-                ts = _local_timestamp(day, event.start_hour, config.time_jitter_min,
-                                      rng, config.tz_offset_min)
-                checkins.append(
-                    CheckIn(
-                        user_id=agent.user_id,
-                        venue_id=event_venue.venue_id,
-                        category_id=event_venue.category_id,
-                        category_name=event_venue.category_name,
-                        lat=event_venue.lat,
-                        lon=event_venue.lon,
-                        tz_offset_min=config.tz_offset_min,
-                        timestamp=ts,
+    with o.span("data.synth.days", n_days=config.n_days) as span:
+        for day_index in range(config.n_days):
+            day = day0 + timedelta(days=day_index)
+            season = config.monthly_seasonality[day.month]
+            weekday = day.weekday()
+            todays_events = events_by_day.get(day.date(), ())
+            for agent in agents:
+                routine = agent.routine_for(weekday)
+                p_checkin = min(1.0, agent.checkin_prob * season)
+                for event, event_venue in todays_events:
+                    if rng.random() >= event.attendance_prob:
+                        continue
+                    if rng.random() >= min(1.0, p_checkin * event.checkin_boost):
+                        continue
+                    ts = _local_timestamp(day, event.start_hour, config.time_jitter_min,
+                                          rng, config.tz_offset_min)
+                    checkins.append(
+                        CheckIn(
+                            user_id=agent.user_id,
+                            venue_id=event_venue.venue_id,
+                            category_id=event_venue.category_id,
+                            category_name=event_venue.category_name,
+                            lat=event_venue.lat,
+                            lon=event_venue.lon,
+                            tz_offset_min=config.tz_offset_min,
+                            timestamp=ts,
+                        )
                     )
-                )
-            for stop in routine:
-                if rng.random() >= stop.prob * (1.0 - config.stop_skip_noise):
-                    continue  # the stop did not happen today
-                venue = _choose_venue(rng, city, agent, stop, config.exploration_prob)
-                if venue is None:
-                    continue
-                if rng.random() >= p_checkin:
-                    continue  # visited, but did not check in (voluntary sparsity)
-                ts = _local_timestamp(day, stop.hour, config.time_jitter_min, rng,
-                                      config.tz_offset_min)
-                checkins.append(
-                    CheckIn(
-                        user_id=agent.user_id,
-                        venue_id=venue.venue_id,
-                        category_id=venue.category_id,
-                        category_name=venue.category_name,
-                        lat=venue.lat,
-                        lon=venue.lon,
-                        tz_offset_min=config.tz_offset_min,
-                        timestamp=ts,
+                for stop in routine:
+                    if rng.random() >= stop.prob * (1.0 - config.stop_skip_noise):
+                        continue  # the stop did not happen today
+                    venue = _choose_venue(rng, city, agent, stop, config.exploration_prob)
+                    if venue is None:
+                        continue
+                    if rng.random() >= p_checkin:
+                        continue  # visited, but did not check in (voluntary sparsity)
+                    ts = _local_timestamp(day, stop.hour, config.time_jitter_min, rng,
+                                          config.tz_offset_min)
+                    checkins.append(
+                        CheckIn(
+                            user_id=agent.user_id,
+                            venue_id=venue.venue_id,
+                            category_id=venue.category_id,
+                            category_name=venue.category_name,
+                            lat=venue.lat,
+                            lon=venue.lon,
+                            tz_offset_min=config.tz_offset_min,
+                            timestamp=ts,
+                        )
                     )
-                )
+        span.set("n_checkins", len(checkins))
 
     dataset = CheckInDataset(checkins, dict(city.venues_by_id), name="synthetic-nyc")
     return GenerationResult(dataset, city, agents, config)

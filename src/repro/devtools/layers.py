@@ -78,7 +78,7 @@ LAYER_MAP: Dict[str, FrozenSet[str]] = {
     "taxonomy": frozenset(),
     "exec": frozenset({"obs"}),
     # data spine
-    "data": frozenset({"geo", "taxonomy"}),
+    "data": frozenset({"geo", "obs", "taxonomy"}),
     "sequences": frozenset({"data", "geo", "taxonomy"}),
     "mining": frozenset({"obs", "sequences", "taxonomy"}),
     # analytics over the spine

@@ -30,6 +30,7 @@ from .point import (
 from .projection import (
     EquirectangularProjection,
     ScreenProjection,
+    equirectangular_to_many_m,
     haversine_matrix_m,
     pairwise_haversine_m,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "dbscan",
     "destination_point",
     "equirectangular_m",
+    "equirectangular_to_many_m",
     "geohash_decode",
     "geohash_decode_bbox",
     "geohash_encode",

@@ -18,6 +18,7 @@ from .point import EARTH_RADIUS_M, GeoPoint
 __all__ = [
     "EquirectangularProjection",
     "ScreenProjection",
+    "equirectangular_to_many_m",
     "haversine_matrix_m",
     "pairwise_haversine_m",
 ]
@@ -95,6 +96,20 @@ class ScreenProjection:
         lat = self.bbox.min_lat + fy * self.bbox.lat_span
         lon = self.bbox.min_lon + fx * self.bbox.lon_span
         return lat, lon
+
+
+def equirectangular_to_many_m(
+    lat: float, lon: float, lats: np.ndarray, lons: np.ndarray
+) -> np.ndarray:
+    """:func:`~repro.geo.point.equirectangular_m` from one point to each of many.
+
+    Element ``i`` is ``equirectangular_m(lat, lon, lats[i], lons[i])``, term by
+    term, so ranking by it ranks as the scalar function does.
+    """
+    mean_phi = (lat + lats) * 0.5 * _DEG2RAD
+    x = (lons - lon) * _DEG2RAD * np.cos(mean_phi)
+    y = (lats - lat) * _DEG2RAD
+    return EARTH_RADIUS_M * np.hypot(x, y)
 
 
 def haversine_matrix_m(

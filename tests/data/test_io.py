@@ -91,6 +91,18 @@ class TestFoursquareTsv:
         with pytest.raises(ValueError, match=":1:"):
             read_foursquare_tsv(path)
 
+    @pytest.mark.parametrize("lat, tz, message", [
+        ("40.7", "99999", "tz_offset_min 99999 out of range"),
+        ("nan", "-240", "latitude nan out of range"),
+    ])
+    def test_out_of_range_fields_raise_with_path_and_line(self, tmp_path, lat, tz, message):
+        path = tmp_path / "bad.tsv"
+        good = "u\tv\tc\tCafe\t40.7\t-74.0\t-240\tTue Apr 03 18:00:09 +0000 2012\n"
+        bad = f"u\tv2\tc\tCafe\t{lat}\t-74.0\t{tz}\tTue Apr 03 18:00:09 +0000 2012\n"
+        path.write_text(good + bad)
+        with pytest.raises(ValueError, match=f"bad.tsv:2: malformed record: {message}"):
+            read_foursquare_tsv(path)
+
     def test_blank_lines_skipped(self, dataset, tmp_path):
         path = tmp_path / "data.tsv"
         write_foursquare_tsv(dataset, path)

@@ -1,9 +1,15 @@
 """Tests for the synthetic GTSM generator (the dataset substitution)."""
 
+import hashlib
+from datetime import date, timedelta
+
 import pytest
 
-from repro.data import SMALL_CONFIG, SynthConfig, dataset_stats, generate
-from repro.data.synth import build_agents, build_city
+from repro.data import SMALL_CONFIG, SynthConfig, dataset_stats, generate, write_foursquare_tsv
+from repro.data.synth import CityEvent, build_agents, build_city, simulate_traces, small_dataset
+from repro.data.synth.generator import _draw_preference, _preference_weights
+from repro.geo import GeoPoint
+from repro.obs import observed
 from repro.taxonomy import build_default_taxonomy
 
 import numpy as np
@@ -69,6 +75,7 @@ class TestCity:
 
     def test_unknown_category_empty(self, city):
         assert city.venues_of_leaf("Space Elevator") == []
+        assert city.nearest_of_leaf(city.neighborhoods[0].center, "Space Elevator") == []
 
 
 class TestAgents:
@@ -158,3 +165,80 @@ class TestGeneration:
 
     def test_ground_truth_accessible(self, small_gen):
         assert small_gen.agents_by_id[small_gen.agents[0].user_id] is small_gen.agents[0]
+
+
+def _tsv_sha256(dataset, tmp_path) -> str:
+    """sha256 of a dataset's Foursquare TSV lines in sorted order."""
+    path = tmp_path / "digest.tsv"
+    write_foursquare_tsv(dataset, path)
+    return hashlib.sha256(b"".join(sorted(path.read_bytes().splitlines(keepends=True)))).hexdigest()
+
+
+def _traces_sha256(traces) -> str:
+    digest = hashlib.sha256()
+    for user_id in sorted(traces):
+        for day in sorted(traces[user_id]):
+            for fix in traces[user_id][day]:
+                digest.update(f"{user_id}|{day}|{fix.timestamp.isoformat()}|"
+                              f"{fix.lat!r}|{fix.lon!r}\n".encode())
+    return digest.hexdigest()
+
+
+#: Digests recorded with the generator that drew every preference venue with
+#: ``rng.choice(n, p=weights)``; the generator must keep producing them.
+SMALL_DATASET_SHA256 = "801637175056ad4af6b144083a3ed1d6cb77cb8999325c01130ddd94e10d36fe"
+EVENT_DATASET_SHA256 = "0b0dc10c92634e5965d9028c98c5702f2173ab37301b7a6bdd4057e15b9f55c2"
+TRACES_SHA256 = "fc6957690845c115269790ef650c870abe3c0a0058bf66166f13c9f746fe358d"
+
+
+class TestParity:
+    """Byte-identical output at a fixed seed, pinned by digest."""
+
+    def test_small_dataset_digest(self, tmp_path):
+        assert _tsv_sha256(small_dataset(7), tmp_path) == SMALL_DATASET_SHA256
+
+    def test_event_dataset_digest(self, tmp_path):
+        event = CityEvent(name="derby", day=date(2012, 5, 12), venue_category="Stadium",
+                          attendance_prob=0.6)
+        config = SynthConfig(**{**SMALL_CONFIG.__dict__, "events": (event,)})
+        assert _tsv_sha256(generate(config).dataset, tmp_path) == EVENT_DATASET_SHA256
+
+    def test_traces_digest(self, small_gen):
+        days = [SMALL_CONFIG.start_date + timedelta(days=i) for i in range(3)]
+        traces = simulate_traces(small_gen.agents[:2], small_gen.city, days, SMALL_CONFIG,
+                                 seed=11)
+        assert _traces_sha256(traces) == TRACES_SHA256
+
+    def test_digest_same_with_obs_on(self, tmp_path):
+        config = SynthConfig(**{**SMALL_CONFIG.__dict__, "n_users": 12})
+        off = _tsv_sha256(generate(config).dataset, tmp_path)
+        with observed() as o:
+            on = _tsv_sha256(generate(config).dataset, tmp_path)
+        names = [span.name for span in o.tracer.roots()]
+        assert names == ["data.synth.city", "data.synth.agents", "data.synth.days"]
+        assert on == off
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_preference_draw_matches_rng_choice(self, n):
+        """One ``rng.random()`` per draw, so the index and the stream both match."""
+        ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(2000):
+            assert _draw_preference(ours, n) == int(theirs.choice(n, p=_preference_weights(n)))
+        assert ours.random() == theirs.random()
+
+    def test_nearest_matches_sorted_reference(self, small_gen):
+        city = small_gen.city
+        rng = np.random.default_rng(0)
+        bbox = city.bbox
+        for _ in range(200):
+            anchor = GeoPoint(float(rng.uniform(bbox.min_lat, bbox.max_lat)),
+                              float(rng.uniform(bbox.min_lon, bbox.max_lon)))
+            k = int(rng.integers(1, 15))
+            for name in ("Eatery", "Shops", "Nightlife"):
+                pool = city.venues_of_root(name)
+                expected = sorted(pool, key=lambda v: anchor.fast_distance_to(v.location))[:k]
+                assert city.nearest_of_root(anchor, name, k=k) == expected
+            for name in ("Coffee Shop", "Thai Restaurant", "Gym"):
+                pool = city.venues_of_leaf(name)
+                expected = sorted(pool, key=lambda v: anchor.fast_distance_to(v.location))[:k]
+                assert city.nearest_of_leaf(anchor, name, k=k) == expected

@@ -125,7 +125,8 @@ def test_module_name_inference(tmp_path):
     assert module_name_for(loose) == "script"
 
 
-def test_cli_json_output_and_exit_codes(tmp_path, capsys):
+def test_cli_json_output_and_exit_codes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default cache dir is cwd-relative
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
     assert main([str(clean), "--format", "json"]) == 0

@@ -18,23 +18,11 @@ from repro.devtools.cli import main
 from repro.devtools.engine import iter_python_files, module_name_for
 from repro.devtools.exceptions import ExceptionAnalysis, extract_exception_facts
 
+from .conftest import write_tree
+
 
 def facts_of(source: str) -> Dict[str, object]:
     return extract_exception_facts(ast.parse(textwrap.dedent(source)))
-
-
-def write_tree(root: Path, modules: Dict[str, str]) -> None:
-    root.mkdir(parents=True, exist_ok=True)
-    for dotted, source in modules.items():
-        parts = dotted.split(".")
-        directory = root
-        for part in parts[:-1]:
-            directory = directory / part
-            directory.mkdir(exist_ok=True)
-            init = directory / "__init__.py"
-            if not init.exists():
-                init.write_text("")
-        (directory / f"{parts[-1]}.py").write_text(textwrap.dedent(source))
 
 
 def analyze(root: Path, modules: Dict[str, str]) -> ExceptionAnalysis:

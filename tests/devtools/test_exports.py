@@ -2,22 +2,17 @@
 
 from __future__ import annotations
 
-import textwrap
 from pathlib import Path
 from typing import Dict, List
 
 from repro.devtools import Finding, LintEngine
 
+from .conftest import write_tree
+
 
 def lint_tree(root: Path, modules: Dict[str, str], **kwargs) -> List[Finding]:
     """Write dotted-name modules (with package ``__init__`` files) and lint them."""
-    for dotted, source in modules.items():
-        directory = root
-        for part in dotted.split(".")[:-1]:
-            directory = directory / part
-            directory.mkdir(exist_ok=True)
-            (directory / "__init__.py").touch()
-        (directory / f"{dotted.rsplit('.', 1)[1]}.py").write_text(textwrap.dedent(source))
+    write_tree(root, modules)
     return LintEngine(**kwargs).lint_paths([root])
 
 

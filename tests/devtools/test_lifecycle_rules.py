@@ -9,7 +9,6 @@ zero findings.
 
 from __future__ import annotations
 
-import textwrap
 from pathlib import Path
 from typing import Dict, List
 
@@ -18,21 +17,9 @@ from repro.devtools.cache import LintCache
 from repro.devtools.cli import main
 from repro.devtools.engine import LintStats
 
+from .conftest import write_tree
+
 CW8XX = ["CW801", "CW802", "CW803", "CW804"]
-
-
-def write_tree(root: Path, modules: Dict[str, str]) -> None:
-    root.mkdir(parents=True, exist_ok=True)
-    for dotted, source in modules.items():
-        parts = dotted.split(".")
-        directory = root
-        for part in parts[:-1]:
-            directory = directory / part
-            directory.mkdir(exist_ok=True)
-            init = directory / "__init__.py"
-            if not init.exists():
-                init.write_text("")
-        (directory / f"{parts[-1]}.py").write_text(textwrap.dedent(source))
 
 
 def lint_tree(root: Path, modules: Dict[str, str], select=None) -> List[Finding]:

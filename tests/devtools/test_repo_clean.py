@@ -21,8 +21,9 @@ def test_src_and_tests_trees_are_lint_clean():
     assert findings == [], "\n".join(f.format() for f in findings)
 
 
-def test_cli_exits_zero_on_the_repo():
-    assert main([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]) == 0
+def test_cli_exits_zero_on_the_repo(tmp_path):
+    args = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"), "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
 
 
 def test_cli_exits_nonzero_on_seeded_domain_bugs(tmp_path, capsys):

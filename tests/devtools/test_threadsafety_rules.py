@@ -8,27 +8,14 @@ produce zero findings.
 
 from __future__ import annotations
 
-import textwrap
 from pathlib import Path
 from typing import Dict, List
 
 from repro.devtools import Finding, LintEngine
 
+from .conftest import write_tree
+
 CW7XX = ["CW701", "CW702"]
-
-
-def write_tree(root: Path, modules: Dict[str, str]) -> None:
-    root.mkdir(parents=True, exist_ok=True)
-    for dotted, source in modules.items():
-        parts = dotted.split(".")
-        directory = root
-        for part in parts[:-1]:
-            directory = directory / part
-            directory.mkdir(exist_ok=True)
-            init = directory / "__init__.py"
-            if not init.exists():
-                init.write_text("")
-        (directory / f"{parts[-1]}.py").write_text(textwrap.dedent(source))
 
 
 def lint_tree(root: Path, modules: Dict[str, str], select=None) -> List[Finding]:

@@ -10,6 +10,8 @@ from repro.geo import (
     EquirectangularProjection,
     GeoPoint,
     ScreenProjection,
+    equirectangular_m,
+    equirectangular_to_many_m,
     haversine_m,
     haversine_matrix_m,
     pairwise_haversine_m,
@@ -100,3 +102,10 @@ class TestVectorizedHaversine:
         matrix = pairwise_haversine_m(lats, lons)
         assert np.allclose(matrix, matrix.T)
         assert np.allclose(np.diag(matrix), 0.0)
+
+    def test_equirectangular_to_many_matches_scalar(self):
+        rng = np.random.default_rng(4)
+        lats, lons = rng.uniform(40.5, 40.9, 500), rng.uniform(-74.3, -73.7, 500)
+        distances = equirectangular_to_many_m(40.7, -74.0, lats, lons)
+        for d, lat, lon in zip(distances, lats, lons):
+            assert d == pytest.approx(equirectangular_m(40.7, -74.0, lat, lon), rel=1e-14)
